@@ -3,10 +3,12 @@
 final best-class selection, a closed form for linear models, and exhaustive
 grid oracles for low-dimensional certification.
 
-Every iterative attack tracks the best candidate it actually evaluated
-(clean point, random start, every iterate) so the reported perturbation is
-never worse than doing nothing; this is what makes robust accuracy <= clean
-accuracy hold exactly during evaluation.
+Every iterative attack (margin ascent to one target class, and the
+cross-entropy baseline) runs the same projected-ascent loop, which differs
+only in the per-row objective on the logits.  The loop tracks the best
+candidate it actually evaluated (clean point, random start, every iterate) so
+the reported perturbation is never worse than doing nothing; this is what
+makes robust accuracy <= clean accuracy hold exactly during evaluation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .models import ModelSpec, ParamSet, forward_logits
 from .objectives import cross_entropy, zero_one_error
 from .optim import OptimState, step
-from .tensor import Tensor, take_per_row, tsum
+from .tensor import Tensor, sub, take_per_row, tsum
 
 NORMS = ("l_inf", "l2")
 
@@ -34,8 +36,8 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not np.isfinite(self.epsilon) or self.epsilon < 0:
+            raise ValueError("epsilon must be finite and >= 0")
         if self.norm not in NORMS:
             raise ValueError(f"unknown norm {self.norm!r}")
         if self.steps < 0:
@@ -112,7 +114,61 @@ def _rng(cfg_seed, *key):
     return np.random.default_rng(np.random.SeedSequence((int(cfg_seed),) + tuple(int(k) for k in key)))
 
 
-# -- margin ascent -------------------------------------------------------------
+# -- projected ascent, per-class margin ascent ---------------------------------
+
+
+def _ascend(spec, params, X, cfg, seed, objective, optimizer):
+    """Projected ascent on a per-row objective(logits) -> [n], from a random
+    start; the one loop behind every iterative attack.  `optimizer` is the
+    update rule used when cfg names none.
+
+    Returns (etas[n,d], values[n], clean_logits[n,K]): per row the best
+    candidate evaluated (clean point, random start, every iterate) and its
+    objective value, plus the logits at the clean point.  Each iterate's
+    value comes from the forward pass built for its gradient.
+    """
+    clean = forward_logits(spec, params, X)
+    # keep only the clean logits' values: the graph holds every activation
+    best_pts, best_vals, clean = X.copy(), objective(clean).data, clean.data
+
+    def keep(pts, vals):
+        improved = vals > best_vals
+        best_vals[improved] = vals[improved]
+        best_pts[improved] = pts[improved]
+
+    if cfg.epsilon > 0 and cfg.steps > 0:
+        pts = _uniform_start(X, cfg, _rng(cfg.seed if seed is None else seed))
+        opt = OptimState(cfg.optimizer or optimizer, resolve_step_size(cfg))
+        for _ in range(cfg.steps):
+            pert = Tensor(pts, requires_grad=True)
+            vals = objective(forward_logits(spec, params, pert))
+            tsum(vals).backward()
+            keep(pts, vals.data)
+            pts = project(X, step(opt, pts, pert.grad, direction="ascend"), cfg)
+        keep(pts, objective(forward_logits(spec, params, pts)).data)
+    return best_pts - X, best_vals, clean
+
+
+def _wrong_class_table(y, k):
+    """[n, K-1]: slot s of row i is the s-th smallest class index != y[i]."""
+    slots = np.arange(k - 1)
+    return slots + (slots >= np.asarray(y, dtype=np.intp)[:, None])
+
+
+def _slot_seed(base, k, s):
+    """Seed of target slot s, so every slot draws its own random start."""
+    return int(base) * (k - 1) + s
+
+
+def _fold_slot(best, etas, margins, targets):
+    """Fold one slot into the running best (etas, j_stars, margins), started
+    when best is None; strict > keeps the lower class index on ties."""
+    if best is None:
+        best = (np.zeros_like(etas), np.zeros_like(targets), np.full_like(margins, -np.inf))
+    improved = margins > best[2]
+    for kept, new in zip(best, (etas, targets, margins)):
+        kept[improved] = new[improved]
+    return best
 
 
 def targeted_ascent_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
@@ -128,37 +184,12 @@ def targeted_ascent_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
     targets = np.asarray(targets, dtype=np.intp)
     if np.any(targets == y):
         raise ValueError("target class must differ from the true class")
-    n = X.shape[0]
-    rng = _rng(cfg.seed if seed is None else seed)
 
-    def margins_at(points):
-        logits = forward_logits(spec, params, points).data
-        rows = np.arange(n)
-        return logits[rows, targets] - logits[rows, y]
+    def margin(logits):
+        return sub(take_per_row(logits, targets), take_per_row(logits, y))
 
-    best_pts = X.copy()
-    best_m = margins_at(X)
-
-    if cfg.epsilon == 0 or cfg.steps == 0:
-        return best_pts - X, best_m
-
-    pts = _uniform_start(X, cfg, rng)
-    opt = OptimState(cfg.optimizer or "rmsprop", resolve_step_size(cfg))
-    for _ in range(cfg.steps):
-        pert = Tensor(pts, requires_grad=True)
-        logits = forward_logits(spec, params, pert)
-        margin = tsum(take_per_row(logits, targets)) - tsum(take_per_row(logits, y))
-        margin.backward()
-        m_now = logits.data[np.arange(n), targets] - logits.data[np.arange(n), y]
-        improved = m_now > best_m
-        best_m = np.where(improved, m_now, best_m)
-        best_pts[improved] = pts[improved]
-        pts = project(X, step(opt, pts, pert.grad, direction="ascend"), cfg)
-    m_now = margins_at(pts)
-    improved = m_now > best_m
-    best_m = np.where(improved, m_now, best_m)
-    best_pts[improved] = pts[improved]
-    return best_pts - X, best_m
+    etas, margins, _ = _ascend(spec, params, X, cfg, seed, margin, "rmsprop")
+    return etas, margins
 
 
 def targeted_margin_ascent(spec: ModelSpec, params: ParamSet, x, y: int,
@@ -180,22 +211,15 @@ def beta_attack_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
-    n, k = X.shape[0], spec.class_count
+    k = spec.class_count
     base = cfg.seed if seed is None else seed
-    # slot s holds, per sample, the s-th smallest class index != y
-    wrong = np.array([[j for j in range(k) if j != yi] for yi in y], dtype=np.intp)
-    best_eta = np.zeros_like(X)
-    best_m = np.full(n, -np.inf)
-    best_j = np.zeros(n, dtype=np.intp)
+    wrong = _wrong_class_table(y, k)
+    best = None
     for s in range(k - 1):
-        targets = wrong[:, s]
         etas, margins = targeted_ascent_batch(
-            spec, params, X, y, targets, cfg, seed=(int(base) * (k - 1) + s))
-        improved = margins > best_m  # strict: ties keep the lower class index
-        best_m = np.where(improved, margins, best_m)
-        best_eta[improved] = etas[improved]
-        best_j[improved] = targets[improved]
-    return best_eta, best_j, best_m
+            spec, params, X, y, wrong[:, s], cfg, seed=_slot_seed(base, k, s))
+        best = _fold_slot(best, etas, margins, wrong[:, s])
+    return best
 
 
 def beta_attack(spec: ModelSpec, params: ParamSet, x, y: int,
@@ -235,40 +259,10 @@ def pgd_surrogate_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
-    n = X.shape[0]
-    rng = _rng(cfg.seed if seed is None else seed)
-
-    def ce_at(points):
-        logits = forward_logits(spec, params, points).data
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-        return lse - logits[np.arange(n), y]
-
-    clean_logits = forward_logits(spec, params, X).data
-    clean_wrong = np.argmax(clean_logits, axis=1) != y
-
-    best_pts = X.copy()
-    best_ce = ce_at(X)
-    if cfg.epsilon == 0 or cfg.steps == 0:
-        return best_pts - X
-
-    pts = _uniform_start(X, cfg, rng)
-    opt = OptimState(cfg.optimizer or "sign_sgd", resolve_step_size(cfg))
-    for _ in range(cfg.steps):
-        pert = Tensor(pts, requires_grad=True)
-        loss = tsum(cross_entropy(forward_logits(spec, params, pert), y))
-        loss.backward()
-        ce_now = ce_at(pts)
-        improved = ce_now > best_ce
-        best_ce = np.where(improved, ce_now, best_ce)
-        best_pts[improved] = pts[improved]
-        pts = project(X, step(opt, pts, pert.grad, direction="ascend"), cfg)
-    ce_now = ce_at(pts)
-    improved = ce_now > best_ce
-    best_pts[improved] = pts[improved]
-
-    etas = best_pts - X
-    etas[clean_wrong] = 0.0
+    etas, _, clean_logits = _ascend(
+        spec, params, X, cfg, seed, lambda logits: cross_entropy(logits, y),
+        "sign_sgd")
+    etas[np.argmax(clean_logits, axis=1) != y] = 0.0
     return etas
 
 
@@ -396,10 +390,9 @@ def grid_max_cross_entropy(spec: ModelSpec, params: ParamSet, x, y: int,
     pts = grid_points(x, epsilon, resolution, norm, box)
     ces = []
     for lo in range(0, pts.shape[0], 65536):
-        logits = forward_logits(spec, params, pts[lo:lo + 65536]).data
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-        ces.append(lse - logits[:, int(y)])
+        chunk = pts[lo:lo + 65536]
+        labels = np.full(chunk.shape[0], int(y))
+        ces.append(cross_entropy(forward_logits(spec, params, chunk), labels).data)
     ces = np.concatenate(ces)
     idx = int(np.argmax(ces))
     return pts[idx] - x, float(ces[idx])

@@ -64,12 +64,6 @@ class ParamSet:
                 return v
         raise KeyError(name)
 
-    def names(self):
-        return [n for n, _ in self._items]
-
-    def tensors(self):
-        return [v for _, v in self._items]
-
     def with_grad(self):
         """Copy whose tensors are marked as gradient leaves."""
         return ParamSet((n, Tensor(v.data, requires_grad=True, name=n))

@@ -264,24 +264,6 @@ def logsumexp(x, axis):
     return add(lse, Tensor(np.squeeze(shift, axis=axis)))
 
 
-def grads_of(output: Tensor, leaves) -> dict:
-    """Run backward on a scalar and return {leaf name or index: gradient}.
-
-    Leaves absent from the graph get zero gradients of matching shape.
-    """
-    output.backward()
-    out = {}
-    for key, leaf in _iter_leaves(leaves):
-        out[key] = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-    return out
-
-
-def _iter_leaves(leaves):
-    if isinstance(leaves, dict):
-        return list(leaves.items())
-    return list(enumerate(leaves))
-
-
 def finite_diff_check(fn, point: Tensor, h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 

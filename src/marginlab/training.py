@@ -9,9 +9,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attacks import (AttackConfig, beta_attack_batch, fgsm,
-                      grid_oracle_attack, pgd_surrogate_batch,
-                      targeted_ascent_batch)
+from .attacks import (AttackConfig, _fold_slot, _slot_seed, _wrong_class_table,
+                      beta_attack_batch, fgsm, grid_oracle_attack,
+                      pgd_surrogate_batch, targeted_ascent_batch)
 from .data import Dataset, train_val_split
 from .models import Checkpoint, ModelSpec, ParamSet, forward_logits, init_params, predict
 from .objectives import cross_entropy
@@ -84,8 +84,6 @@ def accuracy(spec: ModelSpec, params: ParamSet, data: Dataset) -> float:
 def _robust_accuracy_batched(spec, params, data, attack_kind, cfg, seed):
     if len(data) == 0:
         return float("nan")
-    if cfg is None or cfg.epsilon == 0:
-        return accuracy(spec, params, data)
     if attack_kind in ("pgd", "pgd_at", "erm"):
         etas = pgd_surrogate_batch(spec, params, data.X, data.y, cfg, seed=seed)
     else:
@@ -121,15 +119,11 @@ def evaluate_robust(spec: ModelSpec, params: ParamSet, data: Dataset,
     return {"clean": clean, "robust": robust}
 
 
-def _wrong_class_table(y, k):
-    return np.array([[j for j in range(k) if j != yi] for yi in y], dtype=np.intp)
-
-
-def _batch_update(spec, params, optimizers, X_pert, y, lr):
-    """One surrogate-descent step on mean cross-entropy; returns new params."""
+def _descend(params, optimizers, lr, loss_of):
+    """One defender step: backpropagate the scalar loss_of(params) and move
+    every parameter with its own optimizer; returns (new params, loss)."""
     params_g = params.with_grad()
-    loss = mul(tsum(cross_entropy(forward_logits(spec, params_g, X_pert), y)),
-               1.0 / X_pert.shape[0])
+    loss = loss_of(params_g)
     loss.backward()
     updates = {}
     for name, tensor in params_g:
@@ -140,41 +134,16 @@ def _batch_update(spec, params, optimizers, X_pert, y, lr):
     return params.replaced(updates), float(loss.item())
 
 
-def _sbeta_update(spec, params, optimizers, X, y, slot_etas, wrong, mu, lr):
-    """Descent on the margin-softmax weighted loss over all per-class
-    perturbations; the weights stay inside the graph, so gradients flow
-    through them as well as through the per-term losses."""
-    n, n_slots = X.shape[0], len(slot_etas)
-    params_g = params.with_grad()
-    margins, ces = [], []
-    for s in range(n_slots):
-        logits = forward_logits(spec, params_g, X + slot_etas[s])
-        m = sub(take_per_row(logits, wrong[:, s]), take_per_row(logits, y))
-        margins.append(m)
-        ces.append(cross_entropy(logits, y))
-    shift = np.max(np.stack([m.data for m in margins]) * mu, axis=0)
-    exps = [texp(sub(mul(m, mu), Tensor(shift))) for m in margins]
-    denom = exps[0]
-    for e in exps[1:]:
-        denom = denom + e
-    weighted = None
-    for e, ce in zip(exps, ces):
-        term = mul(div(e, denom), ce)
-        weighted = term if weighted is None else weighted + term
-    loss = mul(tsum(weighted), 1.0 / n)
-    loss.backward()
-    updates = {}
-    for name, tensor in params_g:
-        opt = optimizers[name]
-        opt.lr = lr
-        grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        updates[name] = opt_step(opt, tensor.data, grad, "descend")
-    return params.replaced(updates), float(loss.item())
+def _mean_cross_entropy(spec, X, y):
+    """Surrogate-descent loss at the points X, as a function of the params."""
+    return lambda params: mul(
+        tsum(cross_entropy(forward_logits(spec, params, X), y)), 1.0 / X.shape[0])
 
 
 def sbeta_weighted_loss(spec, params, X, y, slot_etas, wrong, mu) -> Tensor:
-    """The smoothed weighted loss as a differentiable scalar (used by the
-    gradient-check suite)."""
+    """Margin-softmax weighted cross-entropy over all per-class perturbations,
+    as a differentiable scalar; the weights stay inside the graph, so
+    gradients flow through them as well as through the per-term losses."""
     n, n_slots = np.atleast_2d(X).shape[0], len(slot_etas)
     margins, ces = [], []
     for s in range(n_slots):
@@ -201,7 +170,9 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
     metrics, and the best/last selection.
 
     The optional hook is called as hook(epoch, step, X, y, etas, j_stars)
-    after each batch attack (beta_at only; j_stars is None otherwise).
+    after each batch attack, for every algorithm but erm when epsilon > 0.
+    For sbeta_at, etas and j_stars are the best of the per-class slots, as
+    beta_attack_batch reports them; for pgd_at, j_stars is None.
     """
     if len(train_data) == 0:
         raise ValueError("empty dataset")
@@ -214,6 +185,7 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
     k = spec.class_count
     atk = cfg.attack
     eps0 = atk is None or atk.epsilon == 0
+    attacked = cfg.algorithm != "erm" and not eps0
 
     checkpoints, metrics = [], []
     for epoch in range(1, cfg.epochs + 1):
@@ -227,47 +199,44 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
             idx = order[lo:lo + cfg.batch_size]
             X, y = tr.X[idx], tr.y[idx]
             atk_seed = (cfg.seed << 20) ^ (epoch << 10) ^ step_i
-            if cfg.algorithm == "erm" or eps0:
-                params, loss = _batch_update(spec, params, optimizers, X, y, lr)
+            j_stars = None
+            if not attacked:
+                loss_of = _mean_cross_entropy(spec, X, y)
             elif cfg.algorithm == "pgd_at":
                 etas = pgd_surrogate_batch(spec, params, X, y, atk, seed=atk_seed)
-                if hook is not None:
-                    hook(epoch, step_i, X, y, etas, None)
-                params, loss = _batch_update(spec, params, optimizers, X + etas, y, lr)
+                loss_of = _mean_cross_entropy(spec, X + etas, y)
             elif cfg.algorithm == "beta_at":
                 etas, j_stars, _ = beta_attack_batch(spec, params, X, y, atk,
                                                      seed=atk_seed)
-                if hook is not None:
-                    hook(epoch, step_i, X, y, etas, j_stars)
-                params, loss = _batch_update(spec, params, optimizers, X + etas, y, lr)
-            else:  # sbeta_at
+                loss_of = _mean_cross_entropy(spec, X + etas, y)
+            else:  # sbeta_at: the defender needs every slot, the hook the best
                 wrong = _wrong_class_table(y, k)
-                slot_etas = []
+                best, slot_etas = None, []
                 for s in range(k - 1):
-                    etas, _ = targeted_ascent_batch(
+                    slot, margins = targeted_ascent_batch(
                         spec, params, X, y, wrong[:, s], atk,
-                        seed=(atk_seed * (k - 1) + s))
-                    slot_etas.append(etas)
-                params, loss = _sbeta_update(spec, params, optimizers, X, y,
-                                             slot_etas, wrong, cfg.mu, lr)
+                        seed=_slot_seed(atk_seed, k, s))
+                    best = _fold_slot(best, slot, margins, wrong[:, s])
+                    slot_etas.append(slot)
+                etas, j_stars, _ = best
+                loss_of = lambda p: sbeta_weighted_loss(
+                    spec, p, X, y, slot_etas, wrong, cfg.mu)
+            if hook is not None and attacked:
+                hook(epoch, step_i, X, y, etas, j_stars)
+            params, loss = _descend(params, optimizers, lr, loss_of)
             epoch_loss += loss
             n_batches += 1
 
         monitor_kind = "pgd" if cfg.algorithm in ("erm", "pgd_at") else "beta"
         eval_seed = (cfg.seed << 20) ^ (epoch << 10) ^ 0xE7A1
+        scores = []  # (clean, robust) per split, in EpochMetrics field order
+        for salt, split in enumerate((tr, val, test_data)):
+            clean = accuracy(spec, params, split)
+            scores += [clean, clean if eps0 else _robust_accuracy_batched(
+                spec, params, split, monitor_kind, atk, eval_seed ^ salt)]
         row = EpochMetrics(
-            epoch=epoch,
-            train_clean=accuracy(spec, params, tr),
-            train_robust=accuracy(spec, params, tr) if eps0 else
-            _robust_accuracy_batched(spec, params, tr, monitor_kind, atk, eval_seed),
-            val_clean=accuracy(spec, params, val),
-            val_robust=accuracy(spec, params, val) if eps0 else
-            _robust_accuracy_batched(spec, params, val, monitor_kind, atk,
-                                     eval_seed ^ 1),
-            test_clean=accuracy(spec, params, test_data),
-            test_robust=accuracy(spec, params, test_data) if eps0 else
-            _robust_accuracy_batched(spec, params, test_data, monitor_kind, atk,
-                                     eval_seed ^ 2),
+            epoch,
+            *scores,
             loss=epoch_loss / n_batches,
             seconds=time.perf_counter() - t0,
         )

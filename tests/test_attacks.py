@@ -4,8 +4,9 @@ import pytest
 from marginlab.attacks import (AttackConfig, beta_attack, beta_attack_batch,
                                closed_form_linear_attack, fgsm,
                                grid_margin_per_class, grid_max_cross_entropy,
-                               grid_oracle_attack, pgd_surrogate, project,
-                               resolve_step_size, targeted_margin_ascent)
+                               grid_oracle_attack, pgd_surrogate,
+                               pgd_surrogate_batch, project, resolve_step_size,
+                               targeted_ascent_batch, targeted_margin_ascent)
 from marginlab.models import ModelSpec, forward_logits, init_params, linear_model
 from marginlab.objectives import zero_one_error
 
@@ -220,6 +221,55 @@ def test_beta_batch_matches_per_sample():
     assert etas.shape == X.shape
     assert np.all(margins >= -10)
     assert np.all(j_stars != y)
+
+
+def test_beta_batch_is_fold_of_serial_slot_ascents():
+    # slot s of row i targets the s-th smallest class != y[i] and is seeded
+    # seed*(K-1)+s; a later slot replaces the running best only when its
+    # margin is strictly larger
+    rng = np.random.default_rng(9)
+    spec = ModelSpec("mlp", 3, 4, (5,))
+    params = init_params(spec, 2)
+    X = rng.uniform(size=(24, 3))
+    y = rng.integers(4, size=24)
+    cfg = AttackConfig(epsilon=0.1, norm="l_inf", steps=6, box=True, seed=0)
+    etas, j_stars, margins = beta_attack_batch(spec, params, X, y, cfg, seed=7)
+
+    best_eta, best_j = np.zeros_like(X), np.zeros(24, dtype=np.intp)
+    best_m = np.full(24, -np.inf)
+    for s in range(3):
+        targets = np.array([[j for j in range(4) if j != yi][s] for yi in y])
+        eta_s, m_s = targeted_ascent_batch(spec, params, X, y, targets, cfg,
+                                           seed=7 * 3 + s)
+        better = m_s > best_m
+        best_eta[better], best_j[better] = eta_s[better], targets[better]
+        best_m[better] = m_s[better]
+    assert np.array_equal(etas, best_eta)
+    assert np.array_equal(j_stars, best_j)
+    assert np.array_equal(margins, best_m)
+
+    # pgd leaves every row misclassified at the clean point exactly in place
+    clean_wrong = np.argmax(forward_logits(spec, params, X).data, axis=1) != y
+    assert clean_wrong.any() and not clean_wrong.all()
+    pgd = pgd_surrogate_batch(spec, params, X, y, cfg, seed=7)
+    assert np.all(pgd[clean_wrong] == 0.0)
+    assert np.any(pgd[~clean_wrong] != 0.0)
+
+
+def test_batch_attacks_accept_an_empty_batch():
+    spec = ModelSpec("mlp", 3, 4, (5,))
+    params = init_params(spec, 0)
+    X, y = np.zeros((0, 3)), np.zeros(0, dtype=np.intp)
+    cfg = AttackConfig(epsilon=0.1, steps=3)
+    etas, j_stars, margins = beta_attack_batch(spec, params, X, y, cfg)
+    assert etas.shape == (0, 3) and j_stars.shape == (0,) and margins.shape == (0,)
+    assert pgd_surrogate_batch(spec, params, X, y, cfg).shape == (0, 3)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.1])
+def test_attack_config_rejects_bad_epsilon(eps):
+    with pytest.raises(ValueError, match="epsilon"):
+        AttackConfig(epsilon=eps)
 
 
 def test_closed_form_cases():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from marginlab.attacks import AttackConfig
+from marginlab.attacks import AttackConfig, beta_attack_batch
 from marginlab.data import DatasetSpec, Dataset, generate_dataset
 from marginlab.models import ModelSpec, init_params, linear_model
 from marginlab.objectives import cross_entropy
@@ -166,6 +166,25 @@ def test_margin_and_surrogate_training_attack_different_points():
     s = 0.8 / np.sqrt(2.0)
     assert np.allclose(seen["pgd"], [0.0, 0.8], atol=1e-2)
     assert np.allclose(np.abs(seen["beta"]), [s, s], atol=1e-2)
+
+
+def test_sbeta_hook_reports_the_beta_attack_of_the_batch():
+    # on the first batch the params are still init_params(spec, seed), so
+    # the best of sbeta's per-class slots is beta_attack_batch on that batch
+    data = blobs(n=60, k=4)
+    spec = ModelSpec("mlp", 2, 4, (6,))
+    atk = small_attack(eps=0.1, steps=4)
+    calls = []
+    run_training(spec, data, TrainConfig("sbeta_at", epochs=2, lr=0.3, seed=3,
+                                         attack=atk),
+                 hook=lambda *args: calls.append(args))
+    assert [c[:2] for c in calls] == [(1, 0), (2, 0)]  # 48 rows: one batch
+    epoch, step, X, y, etas, j_stars = calls[0]
+    ref_etas, ref_j, _ = beta_attack_batch(spec, init_params(spec, 3), X, y, atk,
+                                           seed=(3 << 20) ^ (1 << 10) ^ 0)
+    assert np.array_equal(etas, ref_etas)
+    assert np.array_equal(j_stars, ref_j)
+    assert np.all(j_stars != y)
 
 
 def test_train_config_validation():
