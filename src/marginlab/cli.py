@@ -42,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 TRAIN_DEFAULTS = {
     "dataset": {"kind": "gaussian_blobs", "n": 600, "class_count": 3,
-                "noise": 0.08, "seed": 0},
+                "noise": 0.08, "seed": 0, "images": None, "labels": None},
     "test_dataset": None,
     "model": {"kind": "linear", "hidden": []},
     "algorithm": "beta_at",
@@ -98,11 +98,19 @@ def _build_dataset(dcfg) -> Dataset:
                                         dcfg["seed"]))
 
 
+def _checked(build, *args, **kwargs):
+    """build(*args, **kwargs); a value it rejects is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"invalid config: {exc}") from exc
+
+
 def _attack_config(acfg) -> AttackConfig:
-    return AttackConfig(epsilon=acfg["epsilon"], norm=acfg["norm"],
-                        steps=acfg["steps"], optimizer=acfg["optimizer"],
-                        step_size=acfg["step_size"], box=acfg["box"],
-                        seed=acfg["seed"])
+    return _checked(AttackConfig, epsilon=acfg["epsilon"], norm=acfg["norm"],
+                    steps=acfg["steps"], optimizer=acfg["optimizer"],
+                    step_size=acfg["step_size"], box=acfg["box"],
+                    seed=acfg["seed"])
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -120,16 +128,16 @@ def cmd_train(args) -> int:
 
     data = _build_dataset(cfg["dataset"])
     test = _build_dataset(cfg["test_dataset"]) if cfg["test_dataset"] else None
-    spec = ModelSpec(cfg["model"]["kind"], data.dim,
-                     int(data.y.max()) + 1 if cfg["dataset"]["kind"] == "idx_files"
-                     else cfg["dataset"]["class_count"],
-                     tuple(cfg["model"]["hidden"]))
-    tcfg = TrainConfig(algorithm=cfg["algorithm"], epochs=cfg["epochs"],
-                       batch_size=cfg["batch_size"], optimizer=cfg["optimizer"],
-                       lr=cfg["lr"], decay_epochs=tuple(cfg["decay_epochs"]),
-                       decay_factor=cfg["decay_factor"],
-                       attack=_attack_config(cfg["attack"]), mu=cfg["mu"],
-                       seed=cfg["seed"], val_fraction=cfg["val_fraction"])
+    spec = _checked(ModelSpec, cfg["model"]["kind"], data.dim,
+                    int(data.y.max()) + 1 if cfg["dataset"]["kind"] == "idx_files"
+                    else cfg["dataset"]["class_count"],
+                    tuple(cfg["model"]["hidden"]))
+    tcfg = _checked(TrainConfig, algorithm=cfg["algorithm"], epochs=cfg["epochs"],
+                    batch_size=cfg["batch_size"], optimizer=cfg["optimizer"],
+                    lr=cfg["lr"], decay_epochs=tuple(cfg["decay_epochs"]),
+                    decay_factor=cfg["decay_factor"],
+                    attack=_attack_config(cfg["attack"]), mu=cfg["mu"],
+                    seed=cfg["seed"], val_fraction=cfg["val_fraction"])
     run = run_training(spec, data, tcfg, test)
     if args.out_csv:
         emit_report(run.metrics, "csv", args.out_csv, timing=args.timing)

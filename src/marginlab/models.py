@@ -97,12 +97,13 @@ def init_params(spec: ModelSpec, seed: int) -> ParamSet:
 
 
 def forward_logits(spec: ModelSpec, params: ParamSet, x) -> Tensor:
-    """Logits for a batch x[n,d] (a 1-D x is treated as a single row)."""
+    """Logits for a batch x[n,d] or a stack of batches x[m,n,d] (a 1-D x is
+    treated as a single row)."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.data.ndim == 1:
         x = reshape(x, (1, x.data.shape[0]))
-    if x.data.shape[1] != spec.input_dim:
-        raise ValueError(f"input width {x.data.shape[1]} != spec d={spec.input_dim}")
+    if x.data.shape[-1] != spec.input_dim:
+        raise ValueError(f"input width {x.data.shape[-1]} != spec d={spec.input_dim}")
     n_layers = len(spec.layer_dims())
     out = x
     for i in range(n_layers):
@@ -168,6 +169,10 @@ def load_checkpoint(path: str) -> Checkpoint:
                 f"param {entry['name']!r}: data length {arr.size} does not "
                 f"match shape {entry['shape']}")
         items.append((entry["name"], arr.reshape(entry["shape"])))
+    expected = [(name, t.shape) for name, t in init_params(spec, 0)]
+    found = [(name, arr.shape) for name, arr in items]
+    if found != expected:
+        raise CheckpointError(f"params {found} do not match the spec's {expected}")
     return Checkpoint(spec, ParamSet(items), dict(doc["meta"]))
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attacks import (AttackConfig, _fold_slot, _slot_seed, _wrong_class_table,
+from .attacks import (AttackConfig, _fold_slots, _slot_groups, _slots_of,
                       beta_attack_batch, fgsm, grid_oracle_attack,
                       pgd_surrogate_batch, targeted_ascent_batch)
 from .data import Dataset, train_val_split
@@ -45,6 +45,8 @@ class TrainConfig:
             raise ValueError("sbeta_at needs mu > 0")
         if self.attack is None and self.algorithm != "erm":
             raise ValueError(f"{self.algorithm} needs an attack config")
+        if not 0 < self.val_fraction < 1:  # also rejects NaN
+            raise ValueError("val_fraction must be in (0, 1)")
 
 
 @dataclass
@@ -174,15 +176,15 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
     For sbeta_at, etas and j_stars are the best of the per-class slots, as
     beta_attack_batch reports them; for pgd_at, j_stars is None.
     """
-    if len(train_data) == 0:
-        raise ValueError("empty dataset")
+    tr, val = train_val_split(train_data, cfg.val_fraction, cfg.seed)
+    if len(tr) == 0 or len(val) == 0:
+        raise ValueError(f"val_fraction {cfg.val_fraction} of {len(train_data)} "
+                         "rows leaves the train or validation split empty")
     test_data = test_data if test_data is not None else Dataset(
         np.zeros((0, train_data.dim)), np.zeros(0, dtype=np.intp))
-    tr, val = train_val_split(train_data, cfg.val_fraction, cfg.seed)
     schedule = LrSchedule(cfg.lr, tuple(cfg.decay_epochs), cfg.decay_factor)
     params = init.copy() if init is not None else init_params(spec, cfg.seed)
     optimizers = {name: OptimState(cfg.optimizer, cfg.lr) for name, _ in params}
-    k = spec.class_count
     atk = cfg.attack
     eps0 = atk is None or atk.epsilon == 0
     attacked = cfg.algorithm != "erm" and not eps0
@@ -210,15 +212,13 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
                                                      seed=atk_seed)
                 loss_of = _mean_cross_entropy(spec, X + etas, y)
             else:  # sbeta_at: the defender needs every slot, the hook the best
-                wrong = _wrong_class_table(y, k)
-                best, slot_etas = None, []
-                for s in range(k - 1):
-                    slot, margins = targeted_ascent_batch(
-                        spec, params, X, y, wrong[:, s], atk,
-                        seed=_slot_seed(atk_seed, k, s))
-                    best = _fold_slot(best, slot, margins, wrong[:, s])
-                    slot_etas.append(slot)
-                etas, j_stars, _ = best
+                slots = []
+                for rows, labels, targets, seeds in _slot_groups(spec, X, y, atk_seed):
+                    slots += _slots_of(len(seeds), targets, *targeted_ascent_batch(
+                        spec, params, rows, labels, targets, atk, seed=seeds))
+                etas, j_stars, _ = _fold_slots(slots)
+                slot_etas = [slot for _, slot, _ in slots]
+                wrong = np.stack([t for t, _, _ in slots], 1)
                 loss_of = lambda p: sbeta_weighted_loss(
                     spec, p, X, y, slot_etas, wrong, cfg.mu)
             if hook is not None and attacked:

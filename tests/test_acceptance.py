@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from marginlab.attacks import (AttackConfig, closed_form_linear_attack,
-                               grid_margin_per_class, grid_oracle_attack,
-                               project, targeted_margin_ascent)
+from marginlab.attacks import (AttackConfig, _wrong_class_table,
+                               closed_form_linear_attack, grid_margin_per_class,
+                               grid_oracle_attack, project, targeted_margin_ascent)
 from marginlab.cli import main
 from marginlab.data import DatasetSpec, generate_dataset
 from marginlab.models import (ModelSpec, forward_logits, init_params,
@@ -25,8 +25,7 @@ from marginlab.objectives import (MarginVector, SmoothingConfig, cross_entropy,
                                   max_margin_over_classes, negative_margin,
                                   nll_of_probs, zero_one_error)
 from marginlab.tensor import Tensor, finite_diff_check
-from marginlab.training import (TrainConfig, _wrong_class_table,
-                                evaluate_robust, run_training,
+from marginlab.training import (TrainConfig, evaluate_robust, run_training,
                                 sbeta_weighted_loss)
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")

@@ -226,34 +226,53 @@ def test_beta_batch_matches_per_sample():
 def test_beta_batch_is_fold_of_serial_slot_ascents():
     # slot s of row i targets the s-th smallest class != y[i] and is seeded
     # seed*(K-1)+s; a later slot replaces the running best only when its
-    # margin is strictly larger
-    rng = np.random.default_rng(9)
+    # margin is strictly larger.  Stacked slots must match the serial
+    # ascents bit for bit.
+    for hidden, k, n in (((5,), 4, 24),          # all 3 slots in one stack
+                         ((32, 32), 10, 200)):   # 9 slots in groups of 5 and 4
+        rng = np.random.default_rng(9)
+        spec = ModelSpec("mlp", 3, k, hidden)
+        params = init_params(spec, 2)
+        X = rng.uniform(size=(n, 3))
+        y = rng.integers(k, size=n)
+        cfg = AttackConfig(epsilon=0.1, norm="l_inf", steps=6, box=True, seed=0)
+        etas, j_stars, margins = beta_attack_batch(spec, params, X, y, cfg, seed=7)
+
+        best_eta, best_j = np.zeros_like(X), np.zeros(n, dtype=np.intp)
+        best_m = np.full(n, -np.inf)
+        for s in range(k - 1):
+            targets = np.array([[j for j in range(k) if j != yi][s] for yi in y])
+            eta_s, m_s = targeted_ascent_batch(spec, params, X, y, targets, cfg,
+                                               seed=7 * (k - 1) + s)
+            better = m_s > best_m
+            best_eta[better], best_j[better] = eta_s[better], targets[better]
+            best_m[better] = m_s[better]
+        assert np.array_equal(etas, best_eta)
+        assert np.array_equal(j_stars, best_j)
+        assert np.array_equal(margins, best_m)
+
+        # pgd leaves every row misclassified at the clean point exactly in place
+        clean_wrong = np.argmax(forward_logits(spec, params, X).data, axis=1) != y
+        assert clean_wrong.any() and not clean_wrong.all()
+        pgd = pgd_surrogate_batch(spec, params, X, y, cfg, seed=7)
+        assert np.all(pgd[clean_wrong] == 0.0)
+        assert np.any(pgd[~clean_wrong] != 0.0)
+
+
+def test_targeted_batch_with_a_seed_list_is_one_call_per_block():
+    rng = np.random.default_rng(10)
     spec = ModelSpec("mlp", 3, 4, (5,))
-    params = init_params(spec, 2)
-    X = rng.uniform(size=(24, 3))
-    y = rng.integers(4, size=24)
-    cfg = AttackConfig(epsilon=0.1, norm="l_inf", steps=6, box=True, seed=0)
-    etas, j_stars, margins = beta_attack_batch(spec, params, X, y, cfg, seed=7)
-
-    best_eta, best_j = np.zeros_like(X), np.zeros(24, dtype=np.intp)
-    best_m = np.full(24, -np.inf)
-    for s in range(3):
-        targets = np.array([[j for j in range(4) if j != yi][s] for yi in y])
-        eta_s, m_s = targeted_ascent_batch(spec, params, X, y, targets, cfg,
-                                           seed=7 * 3 + s)
-        better = m_s > best_m
-        best_eta[better], best_j[better] = eta_s[better], targets[better]
-        best_m[better] = m_s[better]
-    assert np.array_equal(etas, best_eta)
-    assert np.array_equal(j_stars, best_j)
-    assert np.array_equal(margins, best_m)
-
-    # pgd leaves every row misclassified at the clean point exactly in place
-    clean_wrong = np.argmax(forward_logits(spec, params, X).data, axis=1) != y
-    assert clean_wrong.any() and not clean_wrong.all()
-    pgd = pgd_surrogate_batch(spec, params, X, y, cfg, seed=7)
-    assert np.all(pgd[clean_wrong] == 0.0)
-    assert np.any(pgd[~clean_wrong] != 0.0)
+    params = init_params(spec, 1)
+    X, y = rng.uniform(size=(6, 3)), np.array([0, 1, 2, 3, 0, 1])
+    t1, t2 = (y + 1) % 4, (y + 2) % 4
+    cfg = AttackConfig(epsilon=0.1, norm="l2", steps=4)
+    etas, margins = targeted_ascent_batch(spec, params, np.tile(X, (2, 1)),
+                                          np.tile(y, 2), np.concatenate([t1, t2]),
+                                          cfg, seed=[3, 8])
+    e1, m1 = targeted_ascent_batch(spec, params, X, y, t1, cfg, seed=3)
+    e2, m2 = targeted_ascent_batch(spec, params, X, y, t2, cfg, seed=8)
+    assert np.array_equal(etas, np.concatenate([e1, e2]))
+    assert np.array_equal(margins, np.concatenate([m1, m2]))
 
 
 def test_batch_attacks_accept_an_empty_batch():

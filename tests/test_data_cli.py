@@ -8,7 +8,7 @@ from marginlab.cli import main
 from marginlab.data import (DatasetSpec, IdxCountMismatchError, IdxMagicError,
                             IdxTruncationError, generate_dataset, load_idx,
                             train_val_split)
-from marginlab.models import ModelSpec, init_params
+from marginlab.models import Checkpoint, ModelSpec, init_params, save_checkpoint
 from marginlab.reports import CSV_HEADER, emit_report
 from marginlab.training import EpochMetrics
 
@@ -137,6 +137,37 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["train", "--config", str(notjson)]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["attack"]) == 2  # checkpoint is required
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("train", {"attack": {"epsilon": float("nan")}}),
+    ("train", {"val_fraction": 1.5}),
+    ("train", {"model": {"kind": "mlp", "hidden": [0]}}),
+    ("eval", {"attack": {"epsilon": float("nan")}}),
+    ("attack", {"attack": {"norm": "l1"}}),
+])
+def test_cli_rejects_invalid_config_values(tmp_path, capsys, command, cfg):
+    spec = ModelSpec("linear", 2, 3)
+    ckpt = str(tmp_path / "ckpt.json")
+    save_checkpoint(ckpt, Checkpoint(spec, init_params(spec, 0), {}))
+    if command == "eval":
+        cfg["checkpoints"] = {"best": ckpt}
+    elif command == "attack":
+        cfg["checkpoint"] = ckpt
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_cli_train_reads_idx_files(tmp_path, capsys):
+    ip, lp = write_idx(tmp_path, n=30)
+    cfg = train_config(tmp_path, dataset={"kind": "idx_files", "images": ip,
+                                          "labels": lp})
+    out = str(tmp_path / "curve.csv")
+    assert main(["train", "--config", cfg, "--out-csv", out]) == 0
+    assert len(open(out).read().splitlines()) == 3  # header + 2 epochs
     capsys.readouterr()
 
 

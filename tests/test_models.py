@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,22 @@ def test_checkpoint_missing_field_named(tmp_path):
         fh.write('{"spec": {"kind": "linear", "input_dim": 2, "class_count": 3},'
                  ' "params": [{"name": "w0", "shape": [2, 3]}], "meta": {}}')
     with pytest.raises(CheckpointError, match="data"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", ["hidden", "name"])
+def test_checkpoint_must_match_its_spec(tmp_path, edit):
+    spec = ModelSpec("mlp", 2, 3, (8,))
+    path = str(tmp_path / "ckpt.json")
+    save_checkpoint(path, Checkpoint(spec, init_params(spec, 0), {}))
+    doc = json.load(open(path))
+    if edit == "hidden":
+        doc["spec"]["hidden"] = [4]  # the weights stay 8 wide
+    else:
+        doc["params"][2]["name"] = "v1"
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(CheckpointError, match="spec"):
         load_checkpoint(path)
 
 

@@ -148,7 +148,8 @@ def test_margin_and_surrogate_training_attack_different_points():
     # single fixed point where the surrogate ascent and the margin ascent
     # disagree about the worst perturbation
     spec, params = linear_model(CE_WEIGHT, np.zeros(3))
-    data = Dataset(np.array([[0.0, -1.0]]), np.array([0], dtype=np.intp))
+    # two copies of the point: one trains, one validates
+    data = Dataset(np.array([[0.0, -1.0]] * 2), np.array([0, 0], dtype=np.intp))
     atk = AttackConfig(epsilon=0.8, norm="l2", steps=500, optimizer="sgd",
                        step_size=0.5, box=False, seed=0)
     seen = {}
@@ -158,7 +159,7 @@ def test_margin_and_surrogate_training_attack_different_points():
             seen[tag] = etas[0].copy()
         return hook
 
-    common = dict(epochs=1, lr=1e-6, seed=0, val_fraction=0.0, attack=atk)
+    common = dict(epochs=1, lr=1e-6, seed=0, val_fraction=0.5, attack=atk)
     run_training(spec, data, TrainConfig("pgd_at", **common),
                  hook=make_hook("pgd"), init=params)
     run_training(spec, data, TrainConfig("beta_at", **common),
@@ -196,6 +197,20 @@ def test_train_config_validation():
         TrainConfig("beta_at", epochs=1)  # missing attack
     with pytest.raises(ValueError):
         TrainConfig("sbeta_at", epochs=1, attack=small_attack(), mu=0.0)
+
+
+@pytest.mark.parametrize("frac", [0.0, 1.0, -0.2, 1.5, float("nan")])
+def test_train_config_rejects_bad_val_fraction(frac):
+    with pytest.raises(ValueError, match="val_fraction"):
+        TrainConfig("erm", epochs=1, val_fraction=frac)
+
+
+@pytest.mark.parametrize("frac", [0.01, 0.97])
+def test_run_training_rejects_an_empty_split(frac):
+    # of 10 rows, 0.01 rounds to no validation row and 0.97 to no training row
+    with pytest.raises(ValueError, match="empty"):
+        run_training(ModelSpec("linear", 2, 3), blobs(n=10),
+                     TrainConfig("erm", epochs=1, val_fraction=frac))
 
 
 def test_sbeta_training_runs_and_fits():
