@@ -24,10 +24,17 @@ import numpy as np
 
 from .models import ModelSpec, ParamSet, forward_logits
 from .objectives import cross_entropy, zero_one_error
-from .optim import OptimState, step
+from .optim import KINDS, OptimState, step
 from .tensor import Tensor, reshape, sub, take_per_row, tsum
 
 NORMS = ("l_inf", "l2")
+
+
+def _check_ball(epsilon, norm):
+    if not np.isfinite(epsilon) or epsilon < 0:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    if norm not in NORMS:
+        raise ValueError(f"unknown norm {norm!r}")
 
 
 @dataclass(frozen=True)
@@ -41,12 +48,11 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.epsilon) or self.epsilon < 0:
-            raise ValueError("epsilon must be finite and >= 0")
-        if self.norm not in NORMS:
-            raise ValueError(f"unknown norm {self.norm!r}")
+        _check_ball(self.epsilon, self.norm)
         if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if self.optimizer is not None and self.optimizer not in KINDS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 def resolve_step_size(cfg: AttackConfig) -> float:
@@ -325,8 +331,7 @@ def closed_form_linear_attack(weight, bias, x, y: int, epsilon: float,
     For class j the optimum of (w_j - w_y) . (x + eta) over the ball is
     eta = eps * (w_j - w_y)/||.||_2 (l2) or eps * sign(w_j - w_y) (l_inf).
     """
-    if norm not in NORMS:
-        raise ValueError(f"unknown norm {norm!r}")
+    _check_ball(epsilon, norm)
     weight = np.asarray(weight, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -356,6 +361,7 @@ def closed_form_linear_attack(weight, bias, x, y: int, epsilon: float,
 def grid_points(x: np.ndarray, epsilon: float, resolution: int,
                 norm: str = "l_inf", box: bool = True) -> np.ndarray:
     """All feasible points of a (2*resolution+1)^d axis grid around x."""
+    _check_ball(epsilon, norm)
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
     if d > 3:

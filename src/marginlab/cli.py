@@ -1,6 +1,11 @@
 """Command-line harness: dataset generation, training runs, attacks and
-evaluation grids, exhaustive oracle checks, gradient checks, self-verifying
-reproduction commands, and an attack timing benchmark.
+evaluation grids, exhaustive oracle checks, gradient checks, and
+self-verifying reproduction commands.
+
+Each JSON config block is merged over its defaults and handed to the
+dataclass it describes, which checks its own values. `main` is the one error
+boundary: a value the library rejects (a ValueError) or a missing input file
+is a usage error.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error.
 """
@@ -11,15 +16,14 @@ import argparse
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
-from . import attacks, objectives
+from . import objectives
 from .attacks import (AttackConfig, beta_attack, closed_form_linear_attack,
                       grid_max_cross_entropy, grid_oracle_attack)
 from .data import Dataset, DatasetSpec, generate_dataset, load_idx
-from .models import (ModelSpec, init_params, linear_model, load_checkpoint,
+from .models import (ModelSpec, linear_model, load_checkpoint,
                      save_checkpoint, forward_logits)
 from .objectives import (SmoothingConfig, cross_entropy,
                          max_margin_over_classes, negative_margin,
@@ -29,7 +33,7 @@ from .tensor import Tensor, finite_diff_check
 from .training import TrainConfig, evaluate_robust, run_training
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -43,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 TRAIN_DEFAULTS = {
     "dataset": {"kind": "gaussian_blobs", "n": 600, "class_count": 3,
                 "noise": 0.08, "seed": 0, "images": None, "labels": None},
-    "test_dataset": None,
+    "test_dataset": None,   # merged over the resolved "dataset" block
     "model": {"kind": "linear", "hidden": []},
     "algorithm": "beta_at",
     "epochs": 10,
@@ -61,29 +65,21 @@ TRAIN_DEFAULTS = {
 
 
 def _merge(defaults, override, path=""):
-    if override is None:
-        return defaults
-    out = dict(defaults) if isinstance(defaults, dict) else defaults
-    if not isinstance(defaults, dict):
-        return override
-    for key, value in override.items():
+    """A copy of defaults with override's fields in place; nested blocks are
+    merged the same way, and a field the defaults lack is rejected."""
+    out = dict(defaults)
+    for key, value in (override or {}).items():
         if key not in defaults:
             raise UsageError(f"unknown config field {path + key!r}")
         if isinstance(defaults[key], dict) and isinstance(value, dict):
-            out[key] = _merge(defaults[key], value, path + key + ".")
-        else:
-            out[key] = value
+            value = _merge(defaults[key], value, path + key + ".")
+        out[key] = value
     return out
 
 
 def _load_config(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}")
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _echo(command, cfg):
@@ -91,26 +87,11 @@ def _echo(command, cfg):
 
 
 def _build_dataset(dcfg) -> Dataset:
-    if dcfg["kind"] == "idx_files":
-        return load_idx(dcfg["images"], dcfg["labels"])
-    return generate_dataset(DatasetSpec(dcfg["kind"], dcfg["n"],
-                                        dcfg["class_count"], dcfg["noise"],
-                                        dcfg["seed"]))
-
-
-def _checked(build, *args, **kwargs):
-    """build(*args, **kwargs); a value it rejects is a usage error."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise UsageError(f"invalid config: {exc}") from exc
-
-
-def _attack_config(acfg) -> AttackConfig:
-    return _checked(AttackConfig, epsilon=acfg["epsilon"], norm=acfg["norm"],
-                    steps=acfg["steps"], optimizer=acfg["optimizer"],
-                    step_size=acfg["step_size"], box=acfg["box"],
-                    seed=acfg["seed"])
+    fields = dict(dcfg)
+    paths = fields.pop("images", None), fields.pop("labels", None)
+    if fields["kind"] == "idx_files":
+        return load_idx(*paths)
+    return generate_dataset(DatasetSpec(**fields))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -118,26 +99,18 @@ def _attack_config(acfg) -> AttackConfig:
 
 def cmd_train(args) -> int:
     cfg = _merge(TRAIN_DEFAULTS, _load_config(args.config) if args.config else None)
-    if args.algorithm:
-        cfg["algorithm"] = args.algorithm
-    if args.epochs:
-        cfg["epochs"] = args.epochs
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    for key in ("algorithm", "epochs", "seed"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     _echo("train", cfg)
 
-    data = _build_dataset(cfg["dataset"])
-    test = _build_dataset(cfg["test_dataset"]) if cfg["test_dataset"] else None
-    spec = _checked(ModelSpec, cfg["model"]["kind"], data.dim,
-                    int(data.y.max()) + 1 if cfg["dataset"]["kind"] == "idx_files"
-                    else cfg["dataset"]["class_count"],
-                    tuple(cfg["model"]["hidden"]))
-    tcfg = _checked(TrainConfig, algorithm=cfg["algorithm"], epochs=cfg["epochs"],
-                    batch_size=cfg["batch_size"], optimizer=cfg["optimizer"],
-                    lr=cfg["lr"], decay_epochs=tuple(cfg["decay_epochs"]),
-                    decay_factor=cfg["decay_factor"],
-                    attack=_attack_config(cfg["attack"]), mu=cfg["mu"],
-                    seed=cfg["seed"], val_fraction=cfg["val_fraction"])
+    dataset, test_dataset = cfg.pop("dataset"), cfg.pop("test_dataset")
+    data = _build_dataset(dataset)
+    test = (_build_dataset(_merge(dataset, test_dataset, "test_dataset."))
+            if test_dataset else None)
+    spec = ModelSpec(**cfg.pop("model"), input_dim=data.dim,
+                     class_count=int(data.y.max()) + 1)
+    tcfg = TrainConfig(**{**cfg, "attack": AttackConfig(**cfg["attack"])})
     run = run_training(spec, data, tcfg, test)
     if args.out_csv:
         emit_report(run.metrics, "csv", args.out_csv, timing=args.timing)
@@ -169,7 +142,7 @@ def cmd_eval(args) -> int:
     cfg = _merge(EVAL_DEFAULTS, _load_config(args.config) if args.config else None)
     _echo("eval", cfg)
     data = _build_dataset(cfg["dataset"])
-    acfg = _attack_config(cfg["attack"])
+    acfg = AttackConfig(**cfg["attack"])
     rows = []
     for label in ("best", "last"):
         path = cfg["checkpoints"][label]
@@ -204,7 +177,7 @@ def cmd_attack(args) -> int:
     _echo("attack", cfg)
     ckpt = load_checkpoint(cfg["checkpoint"])
     data = _build_dataset(cfg["dataset"])
-    acfg = _attack_config(cfg["attack"])
+    acfg = AttackConfig(**cfg["attack"])
     out = evaluate_robust(ckpt.spec, ckpt.params, data, cfg["kind"], acfg)
     doc = {"kind": cfg["kind"], "clean": round(out["clean"], 6),
            "robust": round(out["robust"], 6)}
@@ -342,40 +315,6 @@ def cmd_repro(args) -> int:
     return _repro_weak_surrogate_ranking()
 
 
-BENCH_DEFAULTS = {
-    "dataset": {"kind": "gaussian_blobs", "n": 64, "class_count": 3,
-                "noise": 0.08, "seed": 4},
-    "model": {"kind": "mlp", "hidden": [16]},
-    "epsilon": 0.1,
-    "steps": [5, 10, 20],
-    "seed": 0,
-}
-
-
-def cmd_bench(args) -> int:
-    cfg = _merge(BENCH_DEFAULTS, _load_config(args.config) if args.config else None)
-    _echo("bench", cfg)
-    data = _build_dataset(cfg["dataset"])
-    spec = ModelSpec(cfg["model"]["kind"], data.dim,
-                     cfg["dataset"]["class_count"], tuple(cfg["model"]["hidden"]))
-    params = init_params(spec, cfg["seed"])
-    rows = []
-    for steps in cfg["steps"]:
-        acfg = AttackConfig(epsilon=cfg["epsilon"], steps=steps)
-        for kind in ("pgd", "beta"):
-            t0 = time.perf_counter()
-            if kind == "pgd":
-                attacks.pgd_surrogate_batch(spec, params, data.X, data.y, acfg)
-            else:
-                attacks.beta_attack_batch(spec, params, data.X, data.y, acfg)
-            dt = time.perf_counter() - t0
-            rows.append((kind, steps, dt))
-            print(f"{kind:5s} T'={steps:3d}  {dt:.4f}s")
-    if args.out:
-        emit_table(("attack", "steps", "seconds"), rows, args.out)
-    return 0
-
-
 # -- entry ---------------------------------------------------------------------
 
 
@@ -419,21 +358,14 @@ def build_parser() -> _Parser:
     p.add_argument("case", choices=("appendix-d", "example-1"))
     p.set_defaults(func=cmd_repro)
 
-    p = sub.add_parser("bench", help="attack timing micro-benchmark")
-    p.add_argument("what", choices=("attacks",))
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

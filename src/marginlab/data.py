@@ -37,8 +37,10 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
-        if self.n < self.class_count:
-            raise ValueError("need at least one sample per class")
+        if not 1 <= self.class_count <= self.n:
+            raise ValueError(f"need 1 <= class_count <= n (one sample per "
+                             f"class), got class_count={self.class_count}, "
+                             f"n={self.n}")
 
 
 @dataclass

@@ -31,7 +31,9 @@ class ModelSpec:
         if self.kind == "linear" and self.hidden:
             raise ValueError("linear model takes no hidden widths")
         if any(h < 1 for h in self.hidden):
-            raise ValueError("hidden widths must be >= 1")
+            raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
+        if self.activation != "relu":  # forward_logits implements ReLU only
+            raise ValueError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
 
     def layer_dims(self):

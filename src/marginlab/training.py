@@ -15,7 +15,7 @@ from .attacks import (AttackConfig, _fold_slots, _slot_groups, _slots_of,
 from .data import Dataset, train_val_split
 from .models import Checkpoint, ModelSpec, ParamSet, forward_logits, init_params, predict
 from .objectives import cross_entropy
-from .optim import LrSchedule, OptimState, lr_at
+from .optim import KINDS, LrSchedule, OptimState, lr_at
 from .optim import step as opt_step
 from .tensor import Tensor, sub, take_per_row, texp, tsum, mul, div
 
@@ -40,13 +40,16 @@ class TrainConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch size must be >= 1")
+            raise ValueError(f"epochs and batch size must be >= 1, got "
+                             f"{self.epochs} and {self.batch_size}")
+        if self.optimizer not in KINDS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.algorithm == "sbeta_at" and self.mu <= 0:
             raise ValueError("sbeta_at needs mu > 0")
         if self.attack is None and self.algorithm != "erm":
             raise ValueError(f"{self.algorithm} needs an attack config")
         if not 0 < self.val_fraction < 1:  # also rejects NaN
-            raise ValueError("val_fraction must be in (0, 1)")
+            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
 
 
 @dataclass
@@ -98,8 +101,10 @@ def _robust_accuracy_batched(spec, params, data, attack_kind, cfg, seed):
 
 def evaluate_robust(spec: ModelSpec, params: ParamSet, data: Dataset,
                     attack_kind: str, cfg: AttackConfig, resolution: int = 41,
-                    seed: int = 0) -> dict:
-    """Clean accuracy and the fraction surviving the chosen attack."""
+                    seed: int = None) -> dict:
+    """Clean accuracy and the fraction surviving the chosen attack; the
+    random starts draw from seed, or from cfg.seed when it is None."""
+    seed = cfg.seed if seed is None else seed
     clean = accuracy(spec, params, data)
     if cfg.epsilon == 0:
         return {"clean": clean, "robust": clean}
@@ -176,13 +181,18 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
     For sbeta_at, etas and j_stars are the best of the per-class slots, as
     beta_attack_batch reports them; for pgd_at, j_stars is None.
     """
+    test_data = test_data if test_data is not None else Dataset(
+        np.zeros((0, train_data.dim)), np.zeros(0, dtype=np.intp))
+    for name, split in (("train", train_data), ("test", test_data)):
+        bad = split.y[(split.y < 0) | (split.y >= spec.class_count)]
+        if bad.size:
+            raise ValueError(f"{name} labels {np.unique(bad).tolist()} lie "
+                             f"outside the model's classes 0..{spec.class_count - 1}")
     tr, val = train_val_split(train_data, cfg.val_fraction, cfg.seed)
     if len(tr) == 0 or len(val) == 0:
         raise ValueError(f"val_fraction {cfg.val_fraction} of {len(train_data)} "
                          "rows leaves the train or validation split empty")
-    test_data = test_data if test_data is not None else Dataset(
-        np.zeros((0, train_data.dim)), np.zeros(0, dtype=np.intp))
-    schedule = LrSchedule(cfg.lr, tuple(cfg.decay_epochs), cfg.decay_factor)
+    schedule = LrSchedule(cfg.lr, cfg.decay_epochs, cfg.decay_factor)
     params = init.copy() if init is not None else init_params(spec, cfg.seed)
     optimizers = {name: OptimState(cfg.optimizer, cfg.lr) for name, _ in params}
     atk = cfg.attack

@@ -333,6 +333,12 @@ def test_grid_oracle_edge_cases():
     with pytest.raises(ValueError):
         grid_oracle_attack(ModelSpec("linear", 4, 2), init_params(
             ModelSpec("linear", 4, 2), 0), np.zeros(4), 0, 0.1, 5)
+    # no grid oracle searches a ball it was not asked for
+    for oracle in (grid_oracle_attack, grid_margin_per_class, grid_max_cross_entropy):
+        with pytest.raises(ValueError, match="l3"):
+            oracle(spec, params, CE_X, 0, 0.1, 5, "l3")
+        with pytest.raises(ValueError, match="epsilon"):
+            oracle(spec, params, CE_X, 0, -0.1, 5)
 
 
 def test_grid_margin_per_class_consistent_with_oracle():

@@ -4,6 +4,8 @@ import struct
 import numpy as np
 import pytest
 
+from marginlab import cli, training
+from marginlab.attacks import AttackResult
 from marginlab.cli import main
 from marginlab.data import (DatasetSpec, IdxCountMismatchError, IdxMagicError,
                             IdxTruncationError, generate_dataset, load_idx,
@@ -140,25 +142,102 @@ def test_cli_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command, cfg", [
-    ("train", {"attack": {"epsilon": float("nan")}}),
-    ("train", {"val_fraction": 1.5}),
-    ("train", {"model": {"kind": "mlp", "hidden": [0]}}),
-    ("eval", {"attack": {"epsilon": float("nan")}}),
-    ("attack", {"attack": {"norm": "l1"}}),
+BLOCK_3 = {"kind": "gaussian_blobs", "n": 30, "class_count": 3, "noise": 0.08,
+           "seed": 9}
+
+
+# each case: the command, its config, and the rejected value the error names
+@pytest.mark.parametrize("command, cfg, rejected", [
+    pytest.param("train", {"attack": {"epsilon": float("nan")}}, "nan",
+                 id="train-cfg0"),
+    pytest.param("train", {"val_fraction": 1.5}, "1.5", id="train-cfg1"),
+    pytest.param("train", {"model": {"kind": "mlp", "hidden": [0]}}, "[0]",
+                 id="train-cfg2"),
+    pytest.param("eval", {"attack": {"epsilon": float("nan")}}, "nan",
+                 id="eval-cfg3"),
+    pytest.param("attack", {"attack": {"norm": "l1"}}, "'l1'", id="attack-cfg4"),
+    pytest.param("train", {"optimizer": "foo"}, "'foo'", id="train-optimizer"),
+    pytest.param("train", {"dataset": {"n": 2}}, "n=2", id="train-dataset-n"),
+    pytest.param("train", {"dataset": {"n": 4}, "val_fraction": 0.1},
+                 "val_fraction 0.1 of 4 rows", id="train-empty-split"),
+    pytest.param("train", {"test_dataset": {**BLOCK_3, "bogus": 1}},
+                 "'test_dataset.bogus'", id="train-test-dataset-field"),
+    pytest.param("train", {"test_dataset": {**BLOCK_3, "class_count": 5}},
+                 "test labels [3, 4]", id="train-test-dataset-labels"),
+    pytest.param("oracle", {"norm": "l3"}, "'l3'", id="oracle-norm"),
+    pytest.param("oracle", {"epsilon": -0.1}, "-0.1", id="oracle-epsilon"),
+    pytest.param("oracle", {"checkpoint": "missing.json"}, "missing.json",
+                 id="oracle-missing-checkpoint"),
+    pytest.param("eval", {"attacks": ["spectral"]}, "'spectral'",
+                 id="eval-attack-kind"),
+    pytest.param("attack", {"attack": {"optimizer": "foo"}}, "'foo'",
+                 id="attack-optimizer"),
 ])
-def test_cli_rejects_invalid_config_values(tmp_path, capsys, command, cfg):
+def test_cli_rejects_invalid_config_values(tmp_path, capsys, command, cfg,
+                                           rejected):
     spec = ModelSpec("linear", 2, 3)
     ckpt = str(tmp_path / "ckpt.json")
     save_checkpoint(ckpt, Checkpoint(spec, init_params(spec, 0), {}))
     if command == "eval":
         cfg["checkpoints"] = {"best": ckpt}
-    elif command == "attack":
-        cfg["checkpoint"] = ckpt
+    elif command in ("attack", "oracle"):
+        cfg["checkpoint"] = str(tmp_path / cfg.get("checkpoint", "ckpt.json"))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main([command, "--config", str(path)]) == 2
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and rejected in err
+
+
+def test_cli_test_dataset_merges_over_dataset(tmp_path, capsys):
+    # a partial block keeps the training set's distribution with its own draw
+    curves = []
+    for test_dataset in ({"n": 30, "seed": 9}, BLOCK_3):
+        out = str(tmp_path / f"curve{len(curves)}.csv")
+        cfg = train_config(tmp_path, test_dataset=test_dataset)
+        assert main(["train", "--config", cfg, "--out-csv", out]) == 0
+        curves.append(open(out).read())
+    assert curves[0] == curves[1]
+    assert "nan" not in curves[0]  # the test columns are filled
+    capsys.readouterr()
+
+
+def test_cli_attack_seed_reaches_the_batch_attack(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def recording(attack):
+        def run(*args, seed):
+            seen.append(seed)
+            return attack(*args, seed=seed)
+        return run
+    for name in ("beta_attack_batch", "pgd_surrogate_batch"):
+        monkeypatch.setattr(training, name, recording(getattr(training, name)))
+    spec = ModelSpec("linear", 2, 3)
+    ckpt = str(tmp_path / "ckpt.json")
+    save_checkpoint(ckpt, Checkpoint(spec, init_params(spec, 0), {}))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"checkpoints": {"best": ckpt},
+                                "attacks": ["pgd", "beta"],
+                                "attack": {"steps": 2, "seed": 7}}))
+    assert main(["eval", "--config", str(path)]) == 0
+    path.write_text(json.dumps({"checkpoint": ckpt, "attack": {"seed": 123}}))
+    assert main(["attack", "--config", str(path)]) == 0
+    assert seen == [7, 7, 123]
+    capsys.readouterr()
+
+
+def test_cli_oracle_reports_a_disagreement(tmp_path, capsys, monkeypatch):
+    spec = ModelSpec("linear", 2, 3)
+    ckpt = str(tmp_path / "ckpt.json")
+    save_checkpoint(ckpt, Checkpoint(spec, init_params(spec, 0), {}))
+    # a positive margin that did not misclassify: the oracle contradicts itself
+    monkeypatch.setattr(cli, "grid_oracle_attack",
+                        lambda *a: AttackResult(np.zeros(2), 1, 1.0, False,
+                                                     np.zeros(3)))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"checkpoint": ckpt, "dataset": {"n": 6}}))
+    assert main(["oracle", "--config", str(path)]) == 1
+    assert "agreement 0/6" in capsys.readouterr().out
 
 
 def test_cli_train_reads_idx_files(tmp_path, capsys):
@@ -223,10 +302,9 @@ def test_cli_train_rerun_is_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_bench_runs(tmp_path, capsys):
-    cfg = tmp_path / "bench.json"
-    cfg.write_text(json.dumps({"dataset": {"n": 16}, "steps": [2]}))
-    out = str(tmp_path / "bench.csv")
-    assert main(["bench", "attacks", "--config", str(cfg), "--out", out]) == 0
-    assert open(out).read().splitlines()[0] == "attack,steps,seconds"
+
+def test_cli_flags_leave_the_defaults_alone(capsys):
+    assert main(["train", "--algorithm", "erm", "--epochs", "1", "--seed", "3"]) == 0
+    assert (cli.TRAIN_DEFAULTS["algorithm"], cli.TRAIN_DEFAULTS["epochs"],
+            cli.TRAIN_DEFAULTS["seed"]) == ("beta_at", 10, 0)
     capsys.readouterr()

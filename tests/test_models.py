@@ -52,6 +52,8 @@ def test_spec_validation():
         ModelSpec("conv", 2, 3)
     with pytest.raises(ValueError):
         ModelSpec("mlp", 2, 3, (0,))
+    with pytest.raises(ValueError, match="tanh"):
+        ModelSpec("mlp", 2, 3, (4,), activation="tanh")
     with pytest.raises(ValueError):
         forward_logits(*linear_model(CE_WEIGHT, CE_BIAS), np.zeros((1, 5)))
 

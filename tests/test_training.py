@@ -197,6 +197,10 @@ def test_train_config_validation():
         TrainConfig("beta_at", epochs=1)  # missing attack
     with pytest.raises(ValueError):
         TrainConfig("sbeta_at", epochs=1, attack=small_attack(), mu=0.0)
+    with pytest.raises(ValueError, match="foo"):
+        TrainConfig("erm", epochs=1, optimizer="foo")
+    with pytest.raises(ValueError, match="foo"):
+        AttackConfig(epsilon=0.1, optimizer="foo")
 
 
 @pytest.mark.parametrize("frac", [0.0, 1.0, -0.2, 1.5, float("nan")])
@@ -211,6 +215,15 @@ def test_run_training_rejects_an_empty_split(frac):
     with pytest.raises(ValueError, match="empty"):
         run_training(ModelSpec("linear", 2, 3), blobs(n=10),
                      TrainConfig("erm", epochs=1, val_fraction=frac))
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_run_training_rejects_labels_outside_the_model(split):
+    data, wide = blobs(n=30), blobs(n=30, k=4)
+    train, test = (wide, data) if split == "train" else (data, wide)
+    with pytest.raises(ValueError, match=rf"{split} labels \[3\]"):
+        run_training(ModelSpec("linear", 2, 3), train,
+                     TrainConfig("erm", epochs=1), test)
 
 
 def test_sbeta_training_runs_and_fits():
