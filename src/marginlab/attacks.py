@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_numbers
 from .models import ModelSpec, ParamSet, forward_logits
 from .objectives import cross_entropy, zero_one_error
 from .optim import KINDS, OptimState, step
@@ -48,6 +49,7 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_numbers(self)
         _check_ball(self.epsilon, self.norm)
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
@@ -92,7 +94,14 @@ def _result_at(spec, params, x, y, eta) -> AttackResult:
 
 
 def project(x: np.ndarray, candidate: np.ndarray, cfg: AttackConfig) -> np.ndarray:
-    """Map a candidate point back into the ball around x (and the unit box)."""
+    """Map a candidate point back into the ball around x (and the unit box).
+
+    Under l2 with box=True this scales onto the ball and then clips to the
+    box: the result is feasible but is not the Euclidean projection onto
+    ball and box.  For x=(0.9, 0.5), candidate (1.5, 1.0) and eps=0.5 it
+    returns (1.0, 0.820), 0.531 from the candidate, while the feasible
+    (1.0, 0.990) lies 0.500 away.
+    """
     x = np.asarray(x, dtype=np.float64)
     candidate = np.asarray(candidate, dtype=np.float64)
     if x.shape != candidate.shape:
@@ -281,21 +290,29 @@ def beta_attack(spec: ModelSpec, params: ParamSet, x, y: int,
 # -- surrogate baselines -------------------------------------------------------
 
 
-def fgsm(spec: ModelSpec, params: ParamSet, x, y: int,
-         cfg: AttackConfig) -> AttackResult:
-    """Single epsilon-sized sign step on the cross-entropy gradient."""
+def fgsm_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
+               y: np.ndarray, cfg: AttackConfig):
+    """One epsilon-sized sign step on the cross-entropy gradient; returns etas.
+
+    Rows misclassified at the clean point keep eta=0.
+    """
     if cfg.norm != "l_inf":
         raise ValueError("fgsm is defined for the l_inf norm only")
-    x = np.asarray(x, dtype=np.float64)
-    clean_logits = forward_logits(spec, params, x).data[0]
-    if zero_one_error(clean_logits, y):
-        return _result_at(spec, params, x, y, np.zeros_like(x))
-    pert = Tensor(x[None, :], requires_grad=True)
-    loss = tsum(cross_entropy(forward_logits(spec, params, pert), np.array([y])))
-    loss.backward()
-    candidate = x + cfg.epsilon * np.sign(pert.grad[0])
-    eta = project(x, candidate, cfg) - x
-    return _result_at(spec, params, x, y, eta)
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.intp)
+    pert = Tensor(X, requires_grad=True)
+    logits = forward_logits(spec, params, pert)
+    tsum(cross_entropy(logits, y)).backward()
+    etas = project(X, X + cfg.epsilon * np.sign(pert.grad), cfg) - X
+    etas[np.argmax(logits.data, axis=1) != y] = 0.0
+    return etas
+
+
+def fgsm(spec: ModelSpec, params: ParamSet, x, y: int,
+         cfg: AttackConfig) -> AttackResult:
+    """Single epsilon-sized sign step on a single sample."""
+    etas = fgsm_batch(spec, params, np.atleast_2d(x), np.array([y]), cfg)
+    return _result_at(spec, params, np.asarray(x, dtype=np.float64), y, etas[0])
 
 
 def pgd_surrogate_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,

@@ -30,7 +30,7 @@ from .objectives import (SmoothingConfig, cross_entropy,
                          nll_of_probs)
 from .reports import emit_report, emit_table
 from .tensor import Tensor, finite_diff_check
-from .training import TrainConfig, evaluate_robust, run_training
+from .training import ATTACK_KINDS, TrainConfig, evaluate_robust, run_training
 
 
 class UsageError(ValueError):
@@ -65,15 +65,18 @@ TRAIN_DEFAULTS = {
 
 
 def _merge(defaults, override, path=""):
-    """A copy of defaults with override's fields in place; nested blocks are
-    merged the same way, and a field the defaults lack is rejected."""
+    """A copy of defaults with override in place, merged block by block; an
+    unknown field, or a block or list given as another type, is rejected."""
+    if isinstance(defaults, (dict, list)) and not isinstance(override, type(defaults)):
+        raise UsageError(f"config {path[:-1] or 'file'} must be a "
+                         f"{type(defaults).__name__}, got {override!r}")
+    if not isinstance(defaults, dict):
+        return override
     out = dict(defaults)
-    for key, value in (override or {}).items():
+    for key, value in override.items():
         if key not in defaults:
             raise UsageError(f"unknown config field {path + key!r}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            value = _merge(defaults[key], value, path + key + ".")
-        out[key] = value
+        out[key] = _merge(defaults[key], value, path + key + ".")
     return out
 
 
@@ -90,6 +93,8 @@ def _build_dataset(dcfg) -> Dataset:
     fields = dict(dcfg)
     paths = fields.pop("images", None), fields.pop("labels", None)
     if fields["kind"] == "idx_files":
+        if None in paths:
+            raise UsageError(f"idx_files needs images and labels paths, got {paths}")
         return load_idx(*paths)
     return generate_dataset(DatasetSpec(**fields))
 
@@ -98,7 +103,7 @@ def _build_dataset(dcfg) -> Dataset:
 
 
 def cmd_train(args) -> int:
-    cfg = _merge(TRAIN_DEFAULTS, _load_config(args.config) if args.config else None)
+    cfg = _merge(TRAIN_DEFAULTS, _load_config(args.config) if args.config else {})
     for key in ("algorithm", "epochs", "seed"):
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
@@ -139,8 +144,11 @@ EVAL_DEFAULTS = {
 
 
 def cmd_eval(args) -> int:
-    cfg = _merge(EVAL_DEFAULTS, _load_config(args.config) if args.config else None)
+    cfg = _merge(EVAL_DEFAULTS, _load_config(args.config) if args.config else {})
     _echo("eval", cfg)
+    unknown = [kind for kind in cfg["attacks"] if kind not in ATTACK_KINDS]
+    if unknown:  # checked before any kind runs
+        raise UsageError(f"unknown attack kinds {unknown}")
     data = _build_dataset(cfg["dataset"])
     acfg = AttackConfig(**cfg["attack"])
     rows = []
@@ -171,7 +179,7 @@ ATTACK_DEFAULTS = {
 
 
 def cmd_attack(args) -> int:
-    cfg = _merge(ATTACK_DEFAULTS, _load_config(args.config) if args.config else None)
+    cfg = _merge(ATTACK_DEFAULTS, _load_config(args.config) if args.config else {})
     if cfg["checkpoint"] is None:
         raise UsageError("attack needs a checkpoint path in the config")
     _echo("attack", cfg)
@@ -201,7 +209,7 @@ ORACLE_DEFAULTS = {
 
 
 def cmd_oracle(args) -> int:
-    cfg = _merge(ORACLE_DEFAULTS, _load_config(args.config) if args.config else None)
+    cfg = _merge(ORACLE_DEFAULTS, _load_config(args.config) if args.config else {})
     if cfg["checkpoint"] is None:
         raise UsageError("oracle needs a checkpoint path in the config")
     _echo("oracle", cfg)

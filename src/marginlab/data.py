@@ -3,8 +3,9 @@
 
 from __future__ import annotations
 
+import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +27,20 @@ class IdxTruncationError(ValueError):
     pass
 
 
+def check_numbers(config) -> None:
+    """Reject a dataclass field declared int, float or tuple[int, ...] that
+    holds anything else, a bool included; the declared default passes."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind = numbers.Real if f.type == "float" else numbers.Integral
+        items = value if f.type == "tuple[int, ...]" else [value]
+        if (f.type in ("int", "float", "tuple[int, ...]") and value is not f.default
+                and not (isinstance(items, (list, tuple)) and all(
+                    isinstance(v, kind) and not isinstance(v, bool) for v in items))):
+            raise ValueError(f"{type(config).__name__}.{f.name} must be "
+                             f"{f.type}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     kind: str
@@ -35,6 +50,7 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_numbers(self)
         if self.kind not in KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if not 1 <= self.class_count <= self.n:

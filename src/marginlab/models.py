@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import check_numbers
 from .tensor import Tensor, affine, relu, reshape
 
 
@@ -20,10 +21,11 @@ class ModelSpec:
     kind: str                 # "linear" | "mlp"
     input_dim: int
     class_count: int
-    hidden: tuple = ()
+    hidden: tuple[int, ...] = ()
     activation: str = "relu"
 
     def __post_init__(self):
+        check_numbers(self)
         if self.kind not in ("linear", "mlp"):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.input_dim < 1 or self.class_count < 2:

@@ -10,9 +10,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attacks import (AttackConfig, _fold_slots, _slot_groups, _slots_of,
-                      beta_attack_batch, fgsm, grid_oracle_attack,
+                      beta_attack_batch, fgsm_batch, grid_oracle_attack,
                       pgd_surrogate_batch, targeted_ascent_batch)
-from .data import Dataset, train_val_split
+from .data import Dataset, check_numbers, train_val_split
 from .models import Checkpoint, ModelSpec, ParamSet, forward_logits, init_params, predict
 from .objectives import cross_entropy
 from .optim import KINDS, LrSchedule, OptimState, lr_at
@@ -20,6 +20,7 @@ from .optim import step as opt_step
 from .tensor import Tensor, sub, take_per_row, texp, tsum, mul, div
 
 ALGORITHMS = ("erm", "pgd_at", "beta_at", "sbeta_at")
+ATTACK_KINDS = ("fgsm", "pgd", "beta", "grid_oracle")
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,7 @@ class TrainConfig:
     batch_size: int = 64
     optimizer: str = "sgd"
     lr: float = 0.5
-    decay_epochs: tuple = ()
+    decay_epochs: tuple[int, ...] = ()
     decay_factor: float = 0.1
     attack: AttackConfig = None
     mu: float = 1.0
@@ -37,6 +38,7 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
+        check_numbers(self)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.epochs < 1 or self.batch_size < 1:
@@ -86,44 +88,33 @@ def accuracy(spec: ModelSpec, params: ParamSet, data: Dataset) -> float:
     return float(np.mean(predict(spec, params, data.X) == data.y))
 
 
-def _robust_accuracy_batched(spec, params, data, attack_kind, cfg, seed):
-    if len(data) == 0:
-        return float("nan")
-    if attack_kind in ("pgd", "pgd_at", "erm"):
-        etas = pgd_surrogate_batch(spec, params, data.X, data.y, cfg, seed=seed)
-    else:
-        etas, _, _ = beta_attack_batch(spec, params, data.X, data.y, cfg, seed=seed)
-    preds = predict(spec, params, data.X + etas)
-    clean_preds = predict(spec, params, data.X)
-    survived = (preds == data.y) & (clean_preds == data.y)
-    return float(np.mean(survived))
-
-
 def evaluate_robust(spec: ModelSpec, params: ParamSet, data: Dataset,
                     attack_kind: str, cfg: AttackConfig, resolution: int = 41,
                     seed: int = None) -> dict:
-    """Clean accuracy and the fraction surviving the chosen attack; the
-    random starts draw from seed, or from cfg.seed when it is None."""
-    seed = cfg.seed if seed is None else seed
-    clean = accuracy(spec, params, data)
-    if cfg.epsilon == 0:
-        return {"clean": clean, "robust": clean}
-    if attack_kind in ("pgd", "beta"):
-        robust = _robust_accuracy_batched(spec, params, data, attack_kind, cfg, seed)
-    elif attack_kind == "fgsm":
-        ok = [not fgsm(spec, params, x, y, cfg).success
-              for x, y in zip(data.X, data.y)]
-        robust = float(np.mean(ok))
-    elif attack_kind == "grid_oracle":
-        if data.dim > 3:
-            raise ValueError("grid oracle evaluation is limited to d <= 3")
-        ok = [not grid_oracle_attack(spec, params, x, y, cfg.epsilon, resolution,
-                                     cfg.norm, cfg.box).success
-              for x, y in zip(data.X, data.y)]
-        robust = float(np.mean(ok))
-    else:
+    """Clean accuracy and the fraction of rows correct both at x and at the
+    attacked point x + eta (for grid_oracle: not broken anywhere on the
+    grid); the random starts draw from seed, or from cfg.seed when None."""
+    if attack_kind not in ATTACK_KINDS:
         raise ValueError(f"unknown attack kind {attack_kind!r}")
-    return {"clean": clean, "robust": robust}
+    if len(data) == 0:
+        return {"clean": float("nan"), "robust": float("nan")}
+    seed = cfg.seed if seed is None else seed
+    correct = predict(spec, params, data.X) == data.y
+    if cfg.epsilon == 0:
+        survived = correct
+    elif attack_kind == "grid_oracle":
+        survived = [not grid_oracle_attack(spec, params, x, y, cfg.epsilon,
+                                           resolution, cfg.norm, cfg.box).success
+                    for x, y in zip(data.X, data.y)]
+    else:
+        if attack_kind == "fgsm":
+            etas = fgsm_batch(spec, params, data.X, data.y, cfg)
+        elif attack_kind == "pgd":
+            etas = pgd_surrogate_batch(spec, params, data.X, data.y, cfg, seed=seed)
+        else:
+            etas, _, _ = beta_attack_batch(spec, params, data.X, data.y, cfg, seed=seed)
+        survived = correct & (predict(spec, params, data.X + etas) == data.y)
+    return {"clean": float(np.mean(correct)), "robust": float(np.mean(survived))}
 
 
 def _descend(params, optimizers, lr, loss_of):
@@ -195,9 +186,8 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
     schedule = LrSchedule(cfg.lr, cfg.decay_epochs, cfg.decay_factor)
     params = init.copy() if init is not None else init_params(spec, cfg.seed)
     optimizers = {name: OptimState(cfg.optimizer, cfg.lr) for name, _ in params}
-    atk = cfg.attack
-    eps0 = atk is None or atk.epsilon == 0
-    attacked = cfg.algorithm != "erm" and not eps0
+    atk = cfg.attack or AttackConfig(epsilon=0.0)  # erm without an attack
+    attacked = cfg.algorithm != "erm" and atk.epsilon > 0
 
     checkpoints, metrics = [], []
     for epoch in range(1, cfg.epochs + 1):
@@ -241,9 +231,8 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
         eval_seed = (cfg.seed << 20) ^ (epoch << 10) ^ 0xE7A1
         scores = []  # (clean, robust) per split, in EpochMetrics field order
         for salt, split in enumerate((tr, val, test_data)):
-            clean = accuracy(spec, params, split)
-            scores += [clean, clean if eps0 else _robust_accuracy_batched(
-                spec, params, split, monitor_kind, atk, eval_seed ^ salt)]
+            scores += evaluate_robust(spec, params, split, monitor_kind, atk,
+                                      seed=eval_seed ^ salt).values()
         row = EpochMetrics(
             epoch,
             *scores,

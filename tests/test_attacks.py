@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from marginlab.attacks import (AttackConfig, beta_attack, beta_attack_batch,
-                               closed_form_linear_attack, fgsm,
+                               closed_form_linear_attack, fgsm, fgsm_batch,
                                grid_margin_per_class, grid_max_cross_entropy,
                                grid_oracle_attack, pgd_surrogate,
                                pgd_surrogate_batch, project, resolve_step_size,
@@ -39,6 +39,19 @@ def test_project_l2_radial():
     candidate = x + 1.5 * np.array([0.8, 0.8])
     out = project(x, candidate, cfg)
     assert np.linalg.norm(out - x) == pytest.approx(0.8)
+
+
+def test_project_l2_box_scales_then_clips():
+    # feasible, but not the Euclidean projection onto ball and box: the
+    # feasible (1, 0.5 + sqrt(0.24)) is nearer the candidate
+    cfg = AttackConfig(epsilon=0.5, norm="l2", box=True)
+    x, candidate = np.array([0.9, 0.5]), np.array([1.5, 1.0])
+    out = project(x, candidate, cfg)
+    assert out == pytest.approx([1.0, 0.8200922], abs=1e-7)
+    assert np.linalg.norm(out - candidate) == pytest.approx(0.5314, abs=1e-4)
+    nearer = np.array([1.0, 0.5 + np.sqrt(0.24)])
+    assert np.linalg.norm(nearer - x) <= 0.5 + 1e-12
+    assert np.linalg.norm(nearer - candidate) < 0.5002
 
 
 def test_project_linf_idempotent():
@@ -86,6 +99,25 @@ def test_fgsm_linear_binary_flips_along_weight_sign():
     # ascent on the loss pushes toward the wrong class's weight rows
     grad_dir = np.sign(w[:, 1] - w[:, 0])
     assert np.allclose(np.sign(res.eta_star), grad_dir)
+
+
+@pytest.mark.parametrize("hidden", [(), (6,)], ids=["linear", "mlp"])
+def test_fgsm_batch_rows_match_per_sample_fgsm(hidden):
+    spec = ModelSpec("mlp" if hidden else "linear", 3, 4, hidden)
+    params = init_params(spec, 2)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(size=(12, 3))
+    preds = np.argmax(forward_logits(spec, params, X).data, axis=1)
+    y = preds.copy()
+    y[0] = (preds[0] + 1) % 4  # misclassified at the clean point
+    cfg = AttackConfig(epsilon=0.1, norm="l_inf", box=True)
+    etas = fgsm_batch(spec, params, X, y, cfg)
+    for x, label, eta in zip(X, y, etas):
+        assert np.array_equal(eta, fgsm(spec, params, x, label, cfg).eta_star)
+    assert np.array_equal(etas[0], np.zeros(3))
+    assert np.all(np.abs(etas[1:]).max(axis=1) > 0)
+    with pytest.raises(ValueError, match="l_inf"):
+        fgsm_batch(spec, params, X, y, AttackConfig(epsilon=0.1, norm="l2"))
 
 
 def test_fgsm_zero_gradient_and_zero_eps():
@@ -283,6 +315,7 @@ def test_batch_attacks_accept_an_empty_batch():
     etas, j_stars, margins = beta_attack_batch(spec, params, X, y, cfg)
     assert etas.shape == (0, 3) and j_stars.shape == (0,) and margins.shape == (0,)
     assert pgd_surrogate_batch(spec, params, X, y, cfg).shape == (0, 3)
+    assert fgsm_batch(spec, params, X, y, cfg).shape == (0, 3)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.1])

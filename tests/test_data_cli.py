@@ -172,6 +172,18 @@ BLOCK_3 = {"kind": "gaussian_blobs", "n": 30, "class_count": 3, "noise": 0.08,
                  id="eval-attack-kind"),
     pytest.param("attack", {"attack": {"optimizer": "foo"}}, "'foo'",
                  id="attack-optimizer"),
+    pytest.param("train", {"lr": "x"}, "lr must be float, got 'x'", id="train-lr-type"),
+    pytest.param("train", {"decay_epochs": "x"}, "decay_epochs", id="train-decay-type"),
+    pytest.param("train", {"attack": {"steps": 2.5}}, "steps must be int, got 2.5",
+                 id="train-steps-type"),
+    pytest.param("train", {"model": {"kind": "mlp", "hidden": [2.5]}},
+                 "hidden must be tuple[int, ...], got [2.5]", id="train-hidden-type"),
+    pytest.param("train", {"attack": None}, "attack must be a dict, got None",
+                 id="train-attack-null"),
+    pytest.param("train", {"dataset": {"kind": "idx_files"}}, "idx_files",
+                 id="train-idx-without-paths"),
+    pytest.param("eval", {"attack": {"epsilon": 0.0}, "attacks": ["spectral"]},
+                 "'spectral'", id="eval-attack-kind-at-eps0"),
 ])
 def test_cli_rejects_invalid_config_values(tmp_path, capsys, command, cfg,
                                            rejected):
@@ -187,6 +199,27 @@ def test_cli_rejects_invalid_config_values(tmp_path, capsys, command, cfg,
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error") and rejected in err
+
+
+def test_cli_rejects_a_config_file_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    assert main(["train", "--config", str(path)]) == 2
+    assert "must be a dict, got [1, 2]" in capsys.readouterr().err
+
+
+def test_cli_eval_checks_every_attack_kind_before_running_any(tmp_path, capsys):
+    spec = ModelSpec("linear", 2, 3)
+    ckpt = str(tmp_path / "ckpt.json")
+    save_checkpoint(ckpt, Checkpoint(spec, init_params(spec, 0), {}))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"checkpoints": {"best": ckpt}, "dataset": {"n": 9},
+                                "attacks": ["pgd", "spectral"]}))
+    out = tmp_path / "grid.csv"
+    assert main(["eval", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "'spectral'" in captured.err and "robust" not in captured.out
+    assert not out.exists()
 
 
 def test_cli_test_dataset_merges_over_dataset(tmp_path, capsys):

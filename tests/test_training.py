@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from marginlab import training
 from marginlab.attacks import AttackConfig, beta_attack_batch
 from marginlab.data import DatasetSpec, Dataset, generate_dataset
 from marginlab.models import ModelSpec, init_params, linear_model
@@ -142,6 +145,45 @@ def test_evaluate_robust_attack_hierarchy():
     assert grid["robust"] <= pgd["robust"] + 1e-12
     with pytest.raises(ValueError):
         evaluate_robust(spec, ckpt.params, data, "spectral", cfg)
+    with pytest.raises(ValueError, match="spectral"):
+        evaluate_robust(spec, ckpt.params, data, "spectral",
+                        AttackConfig(epsilon=0.0))
+
+
+@pytest.mark.parametrize("kind", ["fgsm", "pgd", "beta", "grid_oracle"])
+def test_evaluate_robust_on_an_empty_split_is_nan(kind):
+    spec = ModelSpec("linear", 2, 3)
+    empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.intp))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = evaluate_robust(spec, init_params(spec, 0), empty, kind,
+                              small_attack())
+    assert np.isnan(out["clean"]) and np.isnan(out["robust"])
+
+
+def test_monitor_forwards_each_split_clean_once(monkeypatch):
+    # one attacked epoch: predict sees each split's clean X once, and the
+    # attacked points once
+    predict, train_val_split = training.predict, training.train_val_split
+    seen, splits = [], []
+
+    def recording_predict(spec, params, x):
+        seen.append(x)
+        return predict(spec, params, x)
+
+    def recording_split(*args):
+        out = train_val_split(*args)
+        splits.extend(out)
+        return out
+    monkeypatch.setattr(training, "predict", recording_predict)
+    monkeypatch.setattr(training, "train_val_split", recording_split)
+    spec = ModelSpec("linear", 2, 3)
+    test = blobs(n=30, seed=4)
+    run_training(spec, blobs(n=60), TrainConfig("pgd_at", epochs=1, seed=0,
+                                                attack=small_attack()), test)
+    for split in (*splits, test):
+        assert sum(x is split.X for x in seen) == 1
+    assert len(seen) == 6
 
 
 def test_margin_and_surrogate_training_attack_different_points():
