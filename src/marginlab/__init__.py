@@ -18,8 +18,7 @@ from .objectives import (MarginVector, SmoothingConfig, cross_entropy,
 from .optim import LrSchedule, OptimState, lr_at, step
 from .tensor import Tensor, affine, finite_diff_check, relu
 from .training import (EpochMetrics, SelectionReport, TrainConfig,
-                       evaluate_robust, run_training, select_checkpoints,
-                       train_beta_at, train_erm, train_pgd_at, train_sbeta_at)
+                       evaluate_robust, run_training, select_checkpoints)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ makes robust accuracy <= clean accuracy hold exactly during evaluation.
 BETA's K-1 per-class problems (slots) are independent: one
 targeted_ascent_batch call runs a group of them on a leading slot axis
 (points [m,n,d]) while m*n*max(d, hidden..., K) <= 2**15, each slot on its
-own seed and matmuls, so results are bit-identical to one slot at a time.
+own stream and matmuls, so results are bit-identical to one slot at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_numbers
+from .data import EVAL, check_numbers, stream
 from .models import ModelSpec, ParamSet, forward_logits
 from .objectives import cross_entropy, zero_one_error
 from .optim import KINDS, OptimState, step
@@ -122,15 +122,19 @@ def project(x: np.ndarray, candidate: np.ndarray, cfg: AttackConfig) -> np.ndarr
     return out
 
 
-def _uniform_start(x: np.ndarray, cfg: AttackConfig, seed) -> np.ndarray:
-    """A feasible random start around x[n,d], drawn from seed (cfg.seed if None)."""
-    seed = cfg.seed if seed is None else seed
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed),)))
+def _key(seed, cfg: AttackConfig, slot=0) -> tuple:
+    """The stream key of one slot of an attack: seed is the (seed, kind,
+    epoch, step) run_training passes, or an int (cfg.seed when None) for EVAL."""
+    return (*(seed if isinstance(seed, tuple) else
+              (cfg.seed if seed is None else seed, EVAL, 0, 0)), slot)
+
+
+def _uniform_start(x: np.ndarray, cfg: AttackConfig, key) -> np.ndarray:
+    """A feasible random start around x[n,d], drawn from stream(*key)."""
     lo, hi = x - cfg.epsilon, x + cfg.epsilon
     if cfg.box:
         lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
-    start = rng.uniform(lo, hi)
-    return project(x, start, cfg)
+    return project(x, stream(*key).uniform(lo, hi), cfg)
 
 
 # -- projected ascent, per-class margin ascent ---------------------------------
@@ -182,10 +186,10 @@ def _wrong_class_table(y, k):
 _GROUP_ELEMS = 2 ** 15
 
 
-def _slot_groups(spec, X, y, base):
+def _slot_groups(spec, X, y, seed, cfg):
     """Per group of wrong-class slots, in slot order, the targeted_ascent_batch
-    arguments (rows[m*n,d] = m copies of X[n,d], labels, targets, seeds[m]);
-    slot s is seeded base*(K-1)+s."""
+    arguments (rows[m*n,d] = m copies of X[n,d], labels, targets, keys[m]);
+    slot s draws from _key(seed, cfg, s)."""
     n, d = X.shape
     k = spec.class_count
     wrong = _wrong_class_table(y, k)
@@ -194,7 +198,7 @@ def _slot_groups(spec, X, y, base):
         m = min(size, k - 1 - first)
         yield (np.tile(X, (m, 1)) if m > 1 else X, np.tile(y, m),
                wrong[:, first:first + m].T.ravel(),
-               [int(base) * (k - 1) + s for s in range(first, first + m)])
+               [_key(seed, cfg, s) for s in range(first, first + m)])
 
 
 def _slots_of(m, *flat):
@@ -223,17 +227,17 @@ def targeted_ascent_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
 
     Returns (etas[n,d], margins[n]) for the best iterate each row has seen;
     the clean point and the random start are both in the candidate set.
-    A list of m seeds splits the rows into m equal blocks on a slot axis:
-    each block draws its start from its own seed and gets its own matmuls,
-    so the result has the bits of m calls, one per block.
+    A list of m stream keys splits the rows into m equal blocks on a slot
+    axis: each block draws its start from its own key and gets its own
+    matmuls, so the result has the bits of m calls, one per block.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
     targets = np.asarray(targets, dtype=np.intp)
     if np.any(targets == y):
         raise ValueError("target class must differ from the true class")
-    seeds = list(seed) if np.ndim(seed) else [seed]
-    stack = X.reshape(len(seeds), len(X) // len(seeds), X.shape[1])
+    keys = seed if isinstance(seed, list) else [_key(seed, cfg)]
+    stack = X.reshape(len(keys), len(X) // len(keys), X.shape[1])
 
     # flatten only the logits: [m*n, d] rows can change a matmul's bits
     def margin(logits):
@@ -243,7 +247,7 @@ def targeted_ascent_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
 
     # drawn in _ascend, whose first step frees it; one block is not copied
     def start():
-        starts = [_uniform_start(x, cfg, s) for x, s in zip(stack, seeds)]
+        starts = [_uniform_start(x, cfg, key) for x, key in zip(stack, keys)]
         return np.stack(starts) if len(starts) > 1 else starts[0][None]
 
     etas, margins, _ = _ascend(spec, params, stack, cfg, start, margin, "rmsprop")
@@ -266,16 +270,15 @@ def beta_attack_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
     Returns (etas[n,d], j_stars[n], margins[n]).  The K-1 target slots run
     in groups on a slot axis while m*n*max(d, hidden..., K) <= 2**15, each
     slot with exactly the bits of a serial targeted_ascent_batch on its own
-    seed; a group is folded in and dropped before the next one runs.
+    key; a group is folded in and dropped before the next one runs.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
     best = None
-    for rows, labels, targets, seeds in _slot_groups(
-            spec, X, y, cfg.seed if seed is None else seed):
+    for rows, labels, targets, keys in _slot_groups(spec, X, y, seed, cfg):
         etas, margins = targeted_ascent_batch(spec, params, rows, labels, targets,
-                                              cfg, seed=seeds)
-        best = _fold_slots(_slots_of(len(seeds), targets, etas, margins), best)
+                                              cfg, seed=keys)
+        best = _fold_slots(_slots_of(len(keys), targets, etas, margins), best)
     return best
 
 
@@ -325,7 +328,7 @@ def pgd_surrogate_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
     etas, _, clean_logits = _ascend(
-        spec, params, X, cfg, lambda: _uniform_start(X, cfg, seed),
+        spec, params, X, cfg, lambda: _uniform_start(X, cfg, _key(seed, cfg)),
         lambda logits: cross_entropy(logits, y), "sign_sgd")
     etas[np.argmax(clean_logits, axis=1) != y] = 0.0
     return etas

@@ -5,16 +5,16 @@ self-verifying reproduction commands.
 Each JSON config block is merged over its defaults and handed to the
 dataclass it describes, which checks its own values. `main` is the one error
 boundary: a value the library rejects (a ValueError) or a missing input file
-is a usage error.
+is a usage error, and a training run that goes non-finite is an error.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error.
+Exit codes: 0 success, 1 verification mismatch or a numerical blow-up in
+training, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -28,7 +28,7 @@ from .models import (ModelSpec, linear_model, load_checkpoint,
 from .objectives import (SmoothingConfig, cross_entropy,
                          max_margin_over_classes, negative_margin,
                          nll_of_probs)
-from .reports import emit_report, emit_table
+from .reports import atomic_write, emit_report, emit_table
 from .tensor import Tensor, finite_diff_check
 from .training import ATTACK_KINDS, TrainConfig, evaluate_robust, run_training
 
@@ -159,7 +159,7 @@ def cmd_eval(args) -> int:
         ckpt = load_checkpoint(path)
         for kind in cfg["attacks"]:
             out = evaluate_robust(ckpt.spec, ckpt.params, data, kind, acfg,
-                                  resolution=cfg["grid_resolution"])
+                                  resolution=cfg["grid_resolution"], seed=acfg.seed)
             rows.append((label, kind, out["clean"], out["robust"]))
             print(f"{label:5s} {kind:12s} clean {out['clean']:.4f} "
                   f"robust {out['robust']:.4f}")
@@ -186,14 +186,13 @@ def cmd_attack(args) -> int:
     ckpt = load_checkpoint(cfg["checkpoint"])
     data = _build_dataset(cfg["dataset"])
     acfg = AttackConfig(**cfg["attack"])
-    out = evaluate_robust(ckpt.spec, ckpt.params, data, cfg["kind"], acfg)
+    out = evaluate_robust(ckpt.spec, ckpt.params, data, cfg["kind"], acfg,
+                          seed=acfg.seed)
     doc = {"kind": cfg["kind"], "clean": round(out["clean"], 6),
            "robust": round(out["robust"], 6)}
     print(json.dumps(doc))
     if args.out:
-        with open(args.out + ".tmp", "w") as fh:
-            json.dump(doc, fh, indent=2)
-        os.replace(args.out + ".tmp", args.out)
+        atomic_write(args.out, json.dumps(doc, indent=2))
     return 0
 
 
@@ -376,6 +375,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

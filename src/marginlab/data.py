@@ -28,17 +28,33 @@ class IdxTruncationError(ValueError):
 
 
 def check_numbers(config) -> None:
-    """Reject a dataclass field declared int, float or tuple[int, ...] that
-    holds anything else, a bool included; the declared default passes."""
+    """Reject a dataclass field declared int, float, bool or tuple[int, ...]
+    that holds anything else (a bool is no number), and a negative seed; the
+    declared default passes."""
     for f in fields(config):
         value = getattr(config, f.name)
-        kind = numbers.Real if f.type == "float" else numbers.Integral
+        kind = {"float": numbers.Real, "bool": bool}.get(f.type, numbers.Integral)
         items = value if f.type == "tuple[int, ...]" else [value]
-        if (f.type in ("int", "float", "tuple[int, ...]") and value is not f.default
-                and not (isinstance(items, (list, tuple)) and all(
-                    isinstance(v, kind) and not isinstance(v, bool) for v in items))):
+        if (f.type in ("int", "float", "bool", "tuple[int, ...]")
+                and value is not f.default and not (
+                    isinstance(items, (list, tuple)) and all(
+                        isinstance(v, kind) and isinstance(v, bool) == (kind is bool)
+                        for v in items))):
             raise ValueError(f"{type(config).__name__}.{f.name} must be "
                              f"{f.type}, got {value!r}")
+        if f.name == "seed" and value < 0:
+            raise ValueError(f"{type(config).__name__}.seed must be >= 0, got {value}")
+
+
+SPLIT, SHUFFLE, TRAIN, MONITOR, EVAL = range(5)  # what a derived stream draws
+
+
+def stream(seed, kind, epoch=0, step=0, slot=0) -> np.random.Generator:
+    """The random stream of (kind, epoch, step, slot) under seed.  Keys keep
+    these four fields, each in [0, 2**32), as other shapes can alias; the
+    dataset and init draw from default_rng(seed), whose key is empty."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(kind, epoch, step, slot)))
 
 
 @dataclass(frozen=True)
@@ -151,9 +167,6 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 
 def train_val_split(data: Dataset, val_fraction: float, seed: int):
     """Deterministic shuffle; the last val_fraction of rows become validation."""
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xDA7A)))
-    perm = rng.permutation(len(data))
-    n_val = int(round(len(data) * val_fraction))
-    if n_val == 0:
-        return data.subset(perm), data.subset(perm[:0])
-    return data.subset(perm[:-n_val]), data.subset(perm[-n_val:])
+    perm = stream(seed, SPLIT).permutation(len(data))
+    cut = len(data) - int(round(len(data) * val_fraction))
+    return data.subset(perm[:cut]), data.subset(perm[cut:])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -128,13 +128,7 @@ def linear_model(weight, bias) -> tuple:
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     doc = {
-        "spec": {
-            "kind": ckpt.spec.kind,
-            "input_dim": ckpt.spec.input_dim,
-            "class_count": ckpt.spec.class_count,
-            "hidden": list(ckpt.spec.hidden),
-            "activation": ckpt.spec.activation,
-        },
+        "spec": asdict(ckpt.spec),
         "params": [
             {"name": n, "shape": list(v.data.shape), "data": v.data.ravel().tolist()}
             for n, v in ckpt.params
@@ -143,7 +137,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     }
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(doc, fh)
+        json.dump(doc, fh)  # streamed: a 784-d MLP's text would add ~10 MB
     os.replace(tmp, path)
 
 

@@ -11,7 +11,7 @@ CSV_HEADER = ("epoch,train_clean,train_robust,val_clean,val_robust,"
 FIELDS = CSV_HEADER.split(",")
 
 
-def _atomic_write(path: str, text: str) -> None:
+def atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
@@ -36,14 +36,14 @@ def emit_report(metrics, fmt: str, path: str, timing: bool = False) -> None:
             vals = _row_values(row, timing)
             lines.append(",".join(str(int(vals[0])) if i == 0 else f"{v:.6f}"
                                   for i, v in enumerate(vals)))
-        _atomic_write(path, "\n".join(lines) + "\n")
+        atomic_write(path, "\n".join(lines) + "\n")
     elif fmt == "json":
         docs = []
         for row in metrics:
             vals = _row_values(row, timing)
             docs.append({name: (int(v) if name == "epoch" else round(float(v), 6))
                          for name, v in zip(FIELDS, vals)})
-        _atomic_write(path, json.dumps(docs, indent=2) + "\n")
+        atomic_write(path, json.dumps(docs, indent=2) + "\n")
     else:
         raise ValueError("format must be 'csv' or 'json'")
 
@@ -54,4 +54,4 @@ def emit_table(header, rows, path: str) -> None:
     for row in rows:
         lines.append(",".join(f"{v:.6f}" if isinstance(v, float) else str(v)
                               for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

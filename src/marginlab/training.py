@@ -5,14 +5,15 @@ best-vs-last checkpoint selection."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attacks import (AttackConfig, _fold_slots, _slot_groups, _slots_of,
                       beta_attack_batch, fgsm_batch, grid_oracle_attack,
                       pgd_surrogate_batch, targeted_ascent_batch)
-from .data import Dataset, check_numbers, train_val_split
+from .data import (MONITOR, SHUFFLE, TRAIN, Dataset, check_numbers, stream,
+                   train_val_split)
 from .models import Checkpoint, ModelSpec, ParamSet, forward_logits, init_params, predict
 from .objectives import cross_entropy
 from .optim import KINDS, LrSchedule, OptimState, lr_at
@@ -98,7 +99,6 @@ def evaluate_robust(spec: ModelSpec, params: ParamSet, data: Dataset,
         raise ValueError(f"unknown attack kind {attack_kind!r}")
     if len(data) == 0:
         return {"clean": float("nan"), "robust": float("nan")}
-    seed = cfg.seed if seed is None else seed
     correct = predict(spec, params, data.X) == data.y
     if cfg.epsilon == 0:
         survived = correct
@@ -170,7 +170,8 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
     The optional hook is called as hook(epoch, step, X, y, etas, j_stars)
     after each batch attack, for every algorithm but erm when epsilon > 0.
     For sbeta_at, etas and j_stars are the best of the per-class slots, as
-    beta_attack_batch reports them; for pgd_at, j_stars is None.
+    beta_attack_batch reports them; for pgd_at, j_stars is None.  A non-finite
+    defender loss (each step) or parameter (each epoch) raises FloatingPointError.
     """
     test_data = test_data if test_data is not None else Dataset(
         np.zeros((0, train_data.dim)), np.zeros(0, dtype=np.intp))
@@ -193,29 +194,27 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         lr = lr_at(schedule, epoch - 1)
-        shuffle_rng = np.random.default_rng(
-            np.random.SeedSequence((cfg.seed, epoch, 0x5F0F)))
-        order = shuffle_rng.permutation(len(tr))
-        epoch_loss, n_batches = 0.0, 0
+        order = stream(cfg.seed, SHUFFLE, epoch).permutation(len(tr))
+        epoch_loss = 0.0
         for step_i, lo in enumerate(range(0, len(tr), cfg.batch_size)):
             idx = order[lo:lo + cfg.batch_size]
             X, y = tr.X[idx], tr.y[idx]
-            atk_seed = (cfg.seed << 20) ^ (epoch << 10) ^ step_i
+            key = (cfg.seed, TRAIN, epoch, step_i)
             j_stars = None
             if not attacked:
                 loss_of = _mean_cross_entropy(spec, X, y)
             elif cfg.algorithm == "pgd_at":
-                etas = pgd_surrogate_batch(spec, params, X, y, atk, seed=atk_seed)
+                etas = pgd_surrogate_batch(spec, params, X, y, atk, seed=key)
                 loss_of = _mean_cross_entropy(spec, X + etas, y)
             elif cfg.algorithm == "beta_at":
                 etas, j_stars, _ = beta_attack_batch(spec, params, X, y, atk,
-                                                     seed=atk_seed)
+                                                     seed=key)
                 loss_of = _mean_cross_entropy(spec, X + etas, y)
             else:  # sbeta_at: the defender needs every slot, the hook the best
                 slots = []
-                for rows, labels, targets, seeds in _slot_groups(spec, X, y, atk_seed):
-                    slots += _slots_of(len(seeds), targets, *targeted_ascent_batch(
-                        spec, params, rows, labels, targets, atk, seed=seeds))
+                for rows, labels, targets, keys in _slot_groups(spec, X, y, key, atk):
+                    slots += _slots_of(len(keys), targets, *targeted_ascent_batch(
+                        spec, params, rows, labels, targets, atk, seed=keys))
                 etas, j_stars, _ = _fold_slots(slots)
                 slot_etas = [slot for _, slot, _ in slots]
                 wrong = np.stack([t for t, _, _ in slots], 1)
@@ -224,19 +223,23 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
             if hook is not None and attacked:
                 hook(epoch, step_i, X, y, etas, j_stars)
             params, loss = _descend(params, optimizers, lr, loss_of)
+            if not np.isfinite(loss):
+                raise FloatingPointError(f"non-finite defender loss at epoch {epoch}, "
+                                         f"step {step_i}")
             epoch_loss += loss
-            n_batches += 1
+        if not all(np.isfinite(t.data).all() for _, t in params):
+            raise FloatingPointError(f"non-finite parameters at epoch {epoch}, "
+                                     f"step {step_i}")
 
         monitor_kind = "pgd" if cfg.algorithm in ("erm", "pgd_at") else "beta"
-        eval_seed = (cfg.seed << 20) ^ (epoch << 10) ^ 0xE7A1
         scores = []  # (clean, robust) per split, in EpochMetrics field order
-        for salt, split in enumerate((tr, val, test_data)):
+        for i, split in enumerate((tr, val, test_data)):
             scores += evaluate_robust(spec, params, split, monitor_kind, atk,
-                                      seed=eval_seed ^ salt).values()
+                                      seed=(cfg.seed, MONITOR, epoch, i)).values()
         row = EpochMetrics(
             epoch,
             *scores,
-            loss=epoch_loss / n_batches,
+            loss=epoch_loss / (step_i + 1),
             seconds=time.perf_counter() - t0,
         )
         metrics.append(row)
@@ -258,17 +261,3 @@ def select_checkpoints(metrics, checkpoints) -> SelectionReport:
     return SelectionReport(best=checkpoints[best_i], best_metrics=metrics[best_i],
                            last=checkpoints[-1], last_metrics=metrics[-1])
 
-
-def _wrap(algorithm):
-    def runner(spec, train_data, cfg: TrainConfig, test_data=None, hook=None):
-        cfg = replace(cfg, algorithm=algorithm)
-        run = run_training(spec, train_data, cfg, test_data, hook)
-        return run.selection.last, run.metrics
-    runner.__name__ = f"train_{algorithm}"
-    return runner
-
-
-train_erm = _wrap("erm")
-train_pgd_at = _wrap("pgd_at")
-train_beta_at = _wrap("beta_at")
-train_sbeta_at = _wrap("sbeta_at")

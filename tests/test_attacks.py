@@ -7,6 +7,7 @@ from marginlab.attacks import (AttackConfig, beta_attack, beta_attack_batch,
                                grid_oracle_attack, pgd_surrogate,
                                pgd_surrogate_batch, project, resolve_step_size,
                                targeted_ascent_batch, targeted_margin_ascent)
+from marginlab.data import EVAL
 from marginlab.models import ModelSpec, forward_logits, init_params, linear_model
 from marginlab.objectives import zero_one_error
 
@@ -215,7 +216,7 @@ def test_beta_two_class_equals_single_target():
     cfg = AttackConfig(epsilon=0.2, norm="l_inf", steps=20, box=True, seed=7)
     res = beta_attack(spec, params, x, 0, cfg)
     eta, margin = targeted_margin_ascent(spec, params, x, 0, 1, cfg,
-                                         seed=cfg.seed * 1 + 0)
+                                         seed=cfg.seed)
     assert np.array_equal(res.eta_star, eta)
     assert res.margin_value == pytest.approx(margin, abs=1e-12)
 
@@ -256,10 +257,10 @@ def test_beta_batch_matches_per_sample():
 
 
 def test_beta_batch_is_fold_of_serial_slot_ascents():
-    # slot s of row i targets the s-th smallest class != y[i] and is seeded
-    # seed*(K-1)+s; a later slot replaces the running best only when its
-    # margin is strictly larger.  Stacked slots must match the serial
-    # ascents bit for bit.
+    # slot s of row i targets the s-th smallest class != y[i] and draws its
+    # start from the key (seed, EVAL, 0, 0, s); a later slot replaces the
+    # running best only when its margin is strictly larger.  Stacked slots
+    # must match the serial ascents bit for bit.
     for hidden, k, n in (((5,), 4, 24),          # all 3 slots in one stack
                          ((32, 32), 10, 200)):   # 9 slots in groups of 5 and 4
         rng = np.random.default_rng(9)
@@ -275,7 +276,7 @@ def test_beta_batch_is_fold_of_serial_slot_ascents():
         for s in range(k - 1):
             targets = np.array([[j for j in range(k) if j != yi][s] for yi in y])
             eta_s, m_s = targeted_ascent_batch(spec, params, X, y, targets, cfg,
-                                               seed=7 * (k - 1) + s)
+                                               seed=[(7, EVAL, 0, 0, s)])
             better = m_s > best_m
             best_eta[better], best_j[better] = eta_s[better], targets[better]
             best_m[better] = m_s[better]
@@ -300,7 +301,8 @@ def test_targeted_batch_with_a_seed_list_is_one_call_per_block():
     cfg = AttackConfig(epsilon=0.1, norm="l2", steps=4)
     etas, margins = targeted_ascent_batch(spec, params, np.tile(X, (2, 1)),
                                           np.tile(y, 2), np.concatenate([t1, t2]),
-                                          cfg, seed=[3, 8])
+                                          cfg, seed=[(3, EVAL, 0, 0, 0),
+                                                      (8, EVAL, 0, 0, 0)])
     e1, m1 = targeted_ascent_batch(spec, params, X, y, t1, cfg, seed=3)
     e2, m2 = targeted_ascent_batch(spec, params, X, y, t2, cfg, seed=8)
     assert np.array_equal(etas, np.concatenate([e1, e2]))

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from marginlab import cli, training
-from marginlab.attacks import AttackResult
+from marginlab.attacks import AttackConfig, AttackResult
 from marginlab.cli import main
-from marginlab.data import (DatasetSpec, IdxCountMismatchError, IdxMagicError,
+from marginlab.data import (EVAL, MONITOR, SHUFFLE, SPLIT, TRAIN, DatasetSpec,
+                            IdxCountMismatchError, IdxMagicError,
                             IdxTruncationError, generate_dataset, load_idx,
-                            train_val_split)
+                            stream, train_val_split)
 from marginlab.models import Checkpoint, ModelSpec, init_params, save_checkpoint
 from marginlab.reports import CSV_HEADER, emit_report
-from marginlab.training import EpochMetrics
+from marginlab.training import EpochMetrics, TrainConfig
 
 
 def test_blobs_balanced_and_in_box():
@@ -184,6 +185,9 @@ BLOCK_3 = {"kind": "gaussian_blobs", "n": 30, "class_count": 3, "noise": 0.08,
                  id="train-idx-without-paths"),
     pytest.param("eval", {"attack": {"epsilon": 0.0}, "attacks": ["spectral"]},
                  "'spectral'", id="eval-attack-kind-at-eps0"),
+    pytest.param("train", {"attack": {"box": "false"}},
+                 "box must be bool, got 'false'", id="train-box-type"),
+    pytest.param("train", {"seed": -1}, "TrainConfig.seed", id="train-negative-seed"),
 ])
 def test_cli_rejects_invalid_config_values(tmp_path, capsys, command, cfg,
                                            rejected):
@@ -220,6 +224,49 @@ def test_cli_eval_checks_every_attack_kind_before_running_any(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "'spectral'" in captured.err and "robust" not in captured.out
     assert not out.exists()
+
+
+def test_cli_eval_rejects_a_negative_seed_before_running_any_attack(tmp_path, capsys):
+    spec = ModelSpec("linear", 2, 3)
+    ckpt = str(tmp_path / "ckpt.json")
+    save_checkpoint(ckpt, Checkpoint(spec, init_params(spec, 0), {}))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"checkpoints": {"best": ckpt}, "dataset": {"n": 9},
+                                "attacks": ["fgsm", "pgd"], "attack": {"seed": -1}}))
+    assert main(["eval", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "AttackConfig.seed" in captured.err and "robust" not in captured.out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DatasetSpec("gaussian_blobs", 10, seed=-1),
+    lambda: AttackConfig(epsilon=0.1, seed=-1),
+    lambda: TrainConfig("erm", epochs=1, seed=-1),
+], ids=["DatasetSpec", "AttackConfig", "TrainConfig"])
+def test_configs_reject_a_negative_seed(make):
+    with pytest.raises(ValueError, match=r"\.seed must be >= 0, got -1"):
+        make()
+
+
+# numerical failures are the subject here, so numpy's overflow warnings are too
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_train_stops_on_a_non_finite_loss(tmp_path, capsys):
+    cfg = train_config(tmp_path, epochs=3, algorithm="erm", lr=1e200,
+                       dataset={"n": 120}, model={"kind": "mlp", "hidden": [8]})
+    csv, ckpt = tmp_path / "curve.csv", tmp_path / "last.json"
+    assert main(["train", "--config", cfg, "--out-csv", str(csv),
+                 "--ckpt-last", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "epoch 1, step" in err
+    assert not csv.exists() and not ckpt.exists()
+
+
+def test_derived_streams_are_distinct_from_each_other_and_the_seed():
+    draws = [np.random.default_rng(5).random(4)]
+    draws += [stream(5, kind).random(4)
+              for kind in (SPLIT, SHUFFLE, TRAIN, MONITOR, EVAL)]
+    draws += [stream(5, TRAIN, 1, 2, 3).random(4), stream(5, TRAIN, 1, 3, 2).random(4)]
+    assert len({d.tobytes() for d in draws}) == len(draws)
 
 
 def test_cli_test_dataset_merges_over_dataset(tmp_path, capsys):

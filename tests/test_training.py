@@ -5,14 +5,13 @@ import pytest
 
 from marginlab import training
 from marginlab.attacks import AttackConfig, beta_attack_batch
-from marginlab.data import DatasetSpec, Dataset, generate_dataset
+from marginlab.data import TRAIN, DatasetSpec, Dataset, generate_dataset
 from marginlab.models import ModelSpec, init_params, linear_model
 from marginlab.objectives import cross_entropy
 from marginlab.tensor import Tensor
 from marginlab.training import (TrainConfig, accuracy, evaluate_robust,
                                 run_training, sbeta_weighted_loss,
-                                select_checkpoints, train_beta_at, train_erm,
-                                train_pgd_at, train_sbeta_at)
+                                select_checkpoints)
 
 CE_WEIGHT = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.0]])
 
@@ -37,8 +36,8 @@ def params_equal(a, b, tol=0.0):
 def test_erm_fits_separable_blobs():
     data = blobs()
     spec = ModelSpec("linear", 2, 3)
-    cfg = TrainConfig("erm", epochs=20, lr=0.5, seed=0)
-    ckpt, metrics = train_erm(spec, data, cfg)
+    run = run_training(spec, data, TrainConfig("erm", epochs=20, lr=0.5, seed=0))
+    ckpt, metrics = run.selection.last, run.metrics
     assert accuracy(spec, ckpt.params, data) >= 0.99
     assert metrics[-1].loss < metrics[0].loss
 
@@ -133,7 +132,8 @@ def test_robust_never_exceeds_clean_in_metrics():
 def test_evaluate_robust_attack_hierarchy():
     data = blobs(n=60, noise=0.15)
     spec = ModelSpec("linear", 2, 3)
-    ckpt, _ = train_erm(spec, data, TrainConfig("erm", epochs=10, lr=0.5, seed=0))
+    ckpt = run_training(spec, data, TrainConfig("erm", epochs=10, lr=0.5,
+                                                seed=0)).selection.last
     cfg = AttackConfig(epsilon=0.1, norm="l_inf", steps=20, box=True, seed=0)
     grid = evaluate_robust(spec, ckpt.params, data, "grid_oracle", cfg,
                            resolution=41)
@@ -213,21 +213,52 @@ def test_margin_and_surrogate_training_attack_different_points():
 
 def test_sbeta_hook_reports_the_beta_attack_of_the_batch():
     # on the first batch the params are still init_params(spec, seed), so
-    # the best of sbeta's per-class slots is beta_attack_batch on that batch
+    # the best of sbeta's per-class slots is beta_attack_batch on that batch,
+    # keyed (seed, TRAIN, epoch, step); small sgd steps keep the etas tied
+    # to their random starts, so another key gives other etas
     data = blobs(n=60, k=4)
     spec = ModelSpec("mlp", 2, 4, (6,))
-    atk = small_attack(eps=0.1, steps=4)
+    atk = AttackConfig(epsilon=0.1, steps=4, optimizer="sgd", step_size=0.01)
     calls = []
     run_training(spec, data, TrainConfig("sbeta_at", epochs=2, lr=0.3, seed=3,
                                          attack=atk),
                  hook=lambda *args: calls.append(args))
     assert [c[:2] for c in calls] == [(1, 0), (2, 0)]  # 48 rows: one batch
     epoch, step, X, y, etas, j_stars = calls[0]
-    ref_etas, ref_j, _ = beta_attack_batch(spec, init_params(spec, 3), X, y, atk,
-                                           seed=(3 << 20) ^ (1 << 10) ^ 0)
+    params = init_params(spec, 3)
+    ref_etas, ref_j, _ = beta_attack_batch(spec, params, X, y, atk,
+                                           seed=(3, TRAIN, 1, 0))
     assert np.array_equal(etas, ref_etas)
     assert np.array_equal(j_stars, ref_j)
     assert np.all(j_stars != y)
+    for other in ((3, TRAIN, 1, 1), (3, TRAIN, 2, 0), 3):
+        other_etas, _, _ = beta_attack_batch(spec, params, X, y, atk, seed=other)
+        assert not np.array_equal(etas, other_etas)
+
+
+def test_every_attack_stream_of_a_run_is_distinct(monkeypatch):
+    # over 1024 batches an epoch: each batch attack and each monitored split
+    # of every epoch draws its random start from a key of its own
+    pgd, seeds = training.pgd_surrogate_batch, []
+
+    def recording_pgd(*args, seed):
+        seeds.append(seed)
+        return pgd(*args, seed=seed)
+    monkeypatch.setattr(training, "pgd_surrogate_batch", recording_pgd)
+    run_training(ModelSpec("linear", 2, 3), blobs(n=1300),
+                 TrainConfig("pgd_at", epochs=3, batch_size=1, lr=0.1, seed=1,
+                             attack=small_attack(steps=1)))
+    assert len(seeds) == 3 * (1040 + 2)  # batches, then the train and val splits
+    assert len(set(seeds)) == len(seeds)
+
+
+def test_run_training_stops_on_a_non_finite_parameter():
+    # a -inf bias behind a ReLU leaves every loss finite, so only the
+    # parameter check sees it
+    spec = ModelSpec("mlp", 2, 3, (4,))
+    params = init_params(spec, 0).replaced({"b0": np.array([-np.inf, 0.0, 0.0, 0.0])})
+    with pytest.raises(FloatingPointError, match="parameters at epoch 1, step 0"):
+        run_training(spec, blobs(n=60), TrainConfig("erm", epochs=2), init=params)
 
 
 def test_train_config_validation():
@@ -273,6 +304,7 @@ def test_sbeta_training_runs_and_fits():
     spec = ModelSpec("linear", 2, 3)
     cfg = TrainConfig("sbeta_at", epochs=25, lr=1.0, seed=1,
                       attack=small_attack(eps=0.05, steps=5), mu=5.0)
-    ckpt, metrics = train_sbeta_at(spec, data, cfg)
+    run = run_training(spec, data, cfg)
+    ckpt, metrics = run.selection.last, run.metrics
     assert accuracy(spec, ckpt.params, data) >= 0.95
     assert np.isfinite(metrics[-1].loss)
