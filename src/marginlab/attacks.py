@@ -14,6 +14,9 @@ BETA's K-1 per-class problems (slots) are independent: one
 targeted_ascent_batch call runs a group of them on a leading slot axis
 (points [m,n,d]) while m*n*max(d, hidden..., K) <= 2**15, each slot on its
 own stream and matmuls, so results are bit-identical to one slot at a time.
+Robust accuracy (evaluate_robust: eval, attack, the epoch monitor) exits
+early: it attacks rows correct at x until a slot breaks them, with starts
+drawn on the whole batch; the beta_at and sbeta_at batch attacks fold all.
 """
 
 from __future__ import annotations
@@ -129,12 +132,17 @@ def _key(seed, cfg: AttackConfig, slot=0) -> tuple:
               (cfg.seed if seed is None else seed, EVAL, 0, 0)), slot)
 
 
-def _uniform_start(x: np.ndarray, cfg: AttackConfig, key) -> np.ndarray:
-    """A feasible random start around x[n,d], drawn from stream(*key)."""
+def _uniform_start(x: np.ndarray, cfg: AttackConfig, key, live=None) -> np.ndarray:
+    """A feasible random start around x[n,d], drawn from stream(*key) on the
+    whole batch and cut to x's rows when x holds the True rows of mask live."""
     lo, hi = x - cfg.epsilon, x + cfg.epsilon
     if cfg.box:
         lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
-    return project(x, stream(*key).uniform(lo, hi), cfg)
+    if live is None:
+        return project(x, stream(*key).uniform(lo, hi), cfg)
+    bounds = np.zeros((2, len(live), x.shape[1]))  # rows not attacked span [0, 0]
+    bounds[:, live] = lo, hi
+    return project(x, stream(*key).uniform(*bounds)[live], cfg)
 
 
 # -- projected ascent, per-class margin ascent ---------------------------------
@@ -186,19 +194,24 @@ def _wrong_class_table(y, k):
 _GROUP_ELEMS = 2 ** 15
 
 
-def _slot_groups(spec, X, y, seed, cfg):
+def _slot_groups(spec, X, y, seed, cfg, live=None):
     """Per group of wrong-class slots, in slot order, the targeted_ascent_batch
-    arguments (rows[m*n,d] = m copies of X[n,d], labels, targets, keys[m]);
-    slot s draws from _key(seed, cfg, s)."""
+    arguments (rows[m*r,d] = m copies of the r rows of X[n,d] that the mask
+    live holds as the group starts, all when None; labels, targets, keys[m])
+    and those rows' indices; slot s draws from _key(seed, cfg, s)."""
     n, d = X.shape
     k = spec.class_count
     wrong = _wrong_class_table(y, k)
-    size = max(1, _GROUP_ELEMS // max(1, n * max(d, *spec.hidden, k)))
-    for first in range(0, k - 1, size):
-        m = min(size, k - 1 - first)
-        yield (np.tile(X, (m, 1)) if m > 1 else X, np.tile(y, m),
-               wrong[:, first:first + m].T.ravel(),
-               [_key(seed, cfg, s) for s in range(first, first + m)])
+    first = 0
+    while first < k - 1 and (live is None or live.any()):
+        rows = np.arange(n) if live is None else np.flatnonzero(live)
+        part = X if live is None else X[rows]
+        m = min(k - 1 - first,
+                max(1, _GROUP_ELEMS // max(1, len(rows) * max(d, *spec.hidden, k))))
+        yield (np.tile(part, (m, 1)) if m > 1 else part, np.tile(y[rows], m),
+               wrong[rows, first:first + m].T.ravel(),
+               [_key(seed, cfg, s) for s in range(first, first + m)], rows)
+        first += m
 
 
 def _slots_of(m, *flat):
@@ -206,30 +219,31 @@ def _slots_of(m, *flat):
     return zip(*(a.reshape(m, len(a) // m, *a.shape[1:]) for a in flat))
 
 
-def _fold_slots(slots, best=None):
-    """Fold (targets, etas, margins) slots into the running best (etas,
-    j_stars, margins), started when best is None; strict > keeps the lower
-    class index on ties."""
+def _fold_slots(slots, best, rows):
+    """Fold (targets, etas, margins) slots of the rows at indices rows into
+    the running best (etas, j_stars, margins), started when best is None;
+    strict > keeps the lower class index on ties."""
     for targets, etas, margins in slots:
         if best is None:
             best = (np.zeros_like(etas), np.zeros_like(targets),
                     np.full_like(margins, -np.inf))
-        improved = margins > best[2]
+        improved = margins > best[2][rows]
         for kept, new in zip(best, (etas, targets, margins)):
-            kept[improved] = new[improved]
+            kept[rows[improved]] = new[improved]
     return best
 
 
 def targeted_ascent_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
                           y: np.ndarray, targets: np.ndarray, cfg: AttackConfig,
-                          seed=None):
+                          seed=None, live=None):
     """Projected ascent on logits[target] - logits[y] for a whole batch.
 
     Returns (etas[n,d], margins[n]) for the best iterate each row has seen;
     the clean point and the random start are both in the candidate set.
     A list of m stream keys splits the rows into m equal blocks on a slot
     axis: each block draws its start from its own key and gets its own
-    matmuls, so the result has the bits of m calls, one per block.
+    matmuls, so the result has the bits of m calls, one per block.  Blocks
+    that hold the True rows of a mask live draw their starts on its batch.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
@@ -247,7 +261,7 @@ def targeted_ascent_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
 
     # drawn in _ascend, whose first step frees it; one block is not copied
     def start():
-        starts = [_uniform_start(x, cfg, key) for x, key in zip(stack, keys)]
+        starts = [_uniform_start(x, cfg, key, live) for x, key in zip(stack, keys)]
         return np.stack(starts) if len(starts) > 1 else starts[0][None]
 
     etas, margins, _ = _ascend(spec, params, stack, cfg, start, margin, "rmsprop")
@@ -263,23 +277,31 @@ def targeted_margin_ascent(spec: ModelSpec, params: ParamSet, x, y: int,
     return etas[0], float(margins[0])
 
 
+def _beta_slots(spec: ModelSpec, params: ParamSet, X: np.ndarray, y: np.ndarray,
+                cfg: AttackConfig, live=None, seed=None):
+    """The one loop over BETA's wrong-class slots: each group is one
+    targeted_ascent_batch call, folded into the best (etas[n,d], j_stars[n],
+    margins[n]).  Returns (best, live): a bool mask live limits the attack to
+    its rows and loses each row a group gives a margin > 0 (None: no exit)."""
+    best = (np.zeros(X.shape), np.zeros(len(X), np.intp), np.full(len(X), -np.inf))
+    live = None if live is None else live.copy()
+    for rows, labels, targets, keys, at in _slot_groups(spec, X, y, seed, cfg, live):
+        etas, margins = targeted_ascent_batch(spec, params, rows, labels, targets,
+                                              cfg, seed=keys, live=live)
+        best = _fold_slots(_slots_of(len(keys), targets, etas, margins), best, at)
+        if live is not None:
+            live[at[(margins.reshape(len(keys), -1) > 0).any(axis=0)]] = False
+    return best, live
+
+
 def beta_attack_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
                       y: np.ndarray, cfg: AttackConfig, seed=None):
-    """Per-class margin ascent for every wrong class, then the best class.
-
-    Returns (etas[n,d], j_stars[n], margins[n]).  The K-1 target slots run
-    in groups on a slot axis while m*n*max(d, hidden..., K) <= 2**15, each
-    slot with exactly the bits of a serial targeted_ascent_batch on its own
-    key; a group is folded in and dropped before the next one runs.
-    """
+    """Per-class margin ascent for every wrong class, then the best class:
+    (etas[n,d], j_stars[n], margins[n]), each slot with exactly the bits of
+    a serial targeted_ascent_batch on its own key."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
-    best = None
-    for rows, labels, targets, keys in _slot_groups(spec, X, y, seed, cfg):
-        etas, margins = targeted_ascent_batch(spec, params, rows, labels, targets,
-                                              cfg, seed=keys)
-        best = _fold_slots(_slots_of(len(keys), targets, etas, margins), best)
-    return best
+    return _beta_slots(spec, params, X, y, cfg, seed=seed)[0]
 
 
 def beta_attack(spec: ModelSpec, params: ParamSet, x, y: int,

@@ -44,9 +44,11 @@ class _Parser(argparse.ArgumentParser):
 
 # -- config plumbing -----------------------------------------------------------
 
+DATASET_DEFAULTS = {"kind": "gaussian_blobs", "n": 600, "class_count": 3,
+                    "noise": 0.08, "seed": 0, "images": None, "labels": None}
+
 TRAIN_DEFAULTS = {
-    "dataset": {"kind": "gaussian_blobs", "n": 600, "class_count": 3,
-                "noise": 0.08, "seed": 0, "images": None, "labels": None},
+    "dataset": DATASET_DEFAULTS,
     "test_dataset": None,   # merged over the resolved "dataset" block
     "model": {"kind": "linear", "hidden": []},
     "algorithm": "beta_at",
@@ -133,8 +135,7 @@ def cmd_train(args) -> int:
 
 
 EVAL_DEFAULTS = {
-    "dataset": {"kind": "gaussian_blobs", "n": 300, "class_count": 3,
-                "noise": 0.08, "seed": 1},
+    "dataset": {**DATASET_DEFAULTS, "n": 300, "seed": 1},
     "checkpoints": {"best": None, "last": None},
     "attacks": ["fgsm", "pgd", "beta"],
     "attack": {"epsilon": 0.1, "norm": "l_inf", "steps": 20,
@@ -169,8 +170,7 @@ def cmd_eval(args) -> int:
 
 
 ATTACK_DEFAULTS = {
-    "dataset": {"kind": "gaussian_blobs", "n": 100, "class_count": 3,
-                "noise": 0.08, "seed": 2},
+    "dataset": {**DATASET_DEFAULTS, "n": 100, "seed": 2},
     "checkpoint": None,
     "kind": "beta",
     "attack": {"epsilon": 0.1, "norm": "l_inf", "steps": 20,
@@ -197,8 +197,7 @@ def cmd_attack(args) -> int:
 
 
 ORACLE_DEFAULTS = {
-    "dataset": {"kind": "gaussian_blobs", "n": 60, "class_count": 3,
-                "noise": 0.08, "seed": 3},
+    "dataset": {**DATASET_DEFAULTS, "n": 60, "seed": 3},
     "checkpoint": None,
     "epsilon": 0.1,
     "norm": "l_inf",

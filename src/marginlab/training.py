@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import (AttackConfig, _fold_slots, _slot_groups, _slots_of,
+from .attacks import (AttackConfig, _beta_slots, _fold_slots, _slot_groups, _slots_of,
                       beta_attack_batch, fgsm_batch, grid_oracle_attack,
                       pgd_surrogate_batch, targeted_ascent_batch)
 from .data import (MONITOR, SHUFFLE, TRAIN, Dataset, check_numbers, stream,
@@ -89,14 +89,24 @@ def accuracy(spec: ModelSpec, params: ParamSet, data: Dataset) -> float:
     return float(np.mean(predict(spec, params, data.X) == data.y))
 
 
+def _check_labels(spec: ModelSpec, name: str, data: Dataset):
+    bad = data.y[(data.y < 0) | (data.y >= spec.class_count)]
+    if bad.size:
+        raise ValueError(f"{name} labels {np.unique(bad).tolist()} lie "
+                         f"outside the model's classes 0..{spec.class_count - 1}")
+
+
 def evaluate_robust(spec: ModelSpec, params: ParamSet, data: Dataset,
                     attack_kind: str, cfg: AttackConfig, resolution: int = 41,
                     seed: int = None) -> dict:
     """Clean accuracy and the fraction of rows correct both at x and at the
     attacked point x + eta (for grid_oracle: not broken anywhere on the
-    grid); the random starts draw from seed, or from cfg.seed when None."""
+    grid); the random starts draw from seed, or from cfg.seed when None.
+    beta exits early, so in eval, attack and the monitor alike (see attacks):
+    rows no slot breaks are scored at their best eta over all K-1 slots."""
     if attack_kind not in ATTACK_KINDS:
         raise ValueError(f"unknown attack kind {attack_kind!r}")
+    _check_labels(spec, "dataset", data)
     if len(data) == 0:
         return {"clean": float("nan"), "robust": float("nan")}
     correct = predict(spec, params, data.X) == data.y
@@ -107,13 +117,15 @@ def evaluate_robust(spec: ModelSpec, params: ParamSet, data: Dataset,
                                            resolution, cfg.norm, cfg.box).success
                     for x, y in zip(data.X, data.y)]
     else:
+        live = correct
         if attack_kind == "fgsm":
             etas = fgsm_batch(spec, params, data.X, data.y, cfg)
         elif attack_kind == "pgd":
             etas = pgd_surrogate_batch(spec, params, data.X, data.y, cfg, seed=seed)
-        else:
-            etas, _, _ = beta_attack_batch(spec, params, data.X, data.y, cfg, seed=seed)
-        survived = correct & (predict(spec, params, data.X + etas) == data.y)
+        else:  # early exit: only rows that no slot breaks are left to score
+            (etas, _, _), live = _beta_slots(spec, params, data.X, data.y, cfg,
+                                             correct, seed=seed)
+        survived = live & (predict(spec, params, data.X + etas) == data.y)
     return {"clean": float(np.mean(correct)), "robust": float(np.mean(survived))}
 
 
@@ -176,10 +188,7 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
     test_data = test_data if test_data is not None else Dataset(
         np.zeros((0, train_data.dim)), np.zeros(0, dtype=np.intp))
     for name, split in (("train", train_data), ("test", test_data)):
-        bad = split.y[(split.y < 0) | (split.y >= spec.class_count)]
-        if bad.size:
-            raise ValueError(f"{name} labels {np.unique(bad).tolist()} lie "
-                             f"outside the model's classes 0..{spec.class_count - 1}")
+        _check_labels(spec, name, split)
     tr, val = train_val_split(train_data, cfg.val_fraction, cfg.seed)
     if len(tr) == 0 or len(val) == 0:
         raise ValueError(f"val_fraction {cfg.val_fraction} of {len(train_data)} "
@@ -212,10 +221,10 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
                 loss_of = _mean_cross_entropy(spec, X + etas, y)
             else:  # sbeta_at: the defender needs every slot, the hook the best
                 slots = []
-                for rows, labels, targets, keys in _slot_groups(spec, X, y, key, atk):
+                for rows, labels, targets, keys, _ in _slot_groups(spec, X, y, key, atk):
                     slots += _slots_of(len(keys), targets, *targeted_ascent_batch(
                         spec, params, rows, labels, targets, atk, seed=keys))
-                etas, j_stars, _ = _fold_slots(slots)
+                etas, j_stars, _ = _fold_slots(slots, None, np.arange(len(X)))
                 slot_etas = [slot for _, slot, _ in slots]
                 wrong = np.stack([t for t, _, _ in slots], 1)
                 loss_of = lambda p: sbeta_weighted_loss(

@@ -188,6 +188,10 @@ BLOCK_3 = {"kind": "gaussian_blobs", "n": 30, "class_count": 3, "noise": 0.08,
     pytest.param("train", {"attack": {"box": "false"}},
                  "box must be bool, got 'false'", id="train-box-type"),
     pytest.param("train", {"seed": -1}, "TrainConfig.seed", id="train-negative-seed"),
+    pytest.param("eval", {"dataset": {**BLOCK_3, "class_count": 5}, "attacks": ["beta"]},
+                 "labels [3, 4]", id="eval-dataset-labels"),
+    pytest.param("attack", {"dataset": {**BLOCK_3, "class_count": 5}},
+                 "labels [3, 4]", id="attack-dataset-labels"),
 ])
 def test_cli_rejects_invalid_config_values(tmp_path, capsys, command, cfg,
                                            rejected):
@@ -290,7 +294,7 @@ def test_cli_attack_seed_reaches_the_batch_attack(tmp_path, capsys, monkeypatch)
             seen.append(seed)
             return attack(*args, seed=seed)
         return run
-    for name in ("beta_attack_batch", "pgd_surrogate_batch"):
+    for name in ("_beta_slots", "pgd_surrogate_batch"):  # what evaluate_robust calls
         monkeypatch.setattr(training, name, recording(getattr(training, name)))
     spec = ModelSpec("linear", 2, 3)
     ckpt = str(tmp_path / "ckpt.json")
@@ -327,6 +331,22 @@ def test_cli_train_reads_idx_files(tmp_path, capsys):
     out = str(tmp_path / "curve.csv")
     assert main(["train", "--config", cfg, "--out-csv", out]) == 0
     assert len(open(out).read().splitlines()) == 3  # header + 2 epochs
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["eval", "attack", "oracle"])
+def test_cli_commands_read_idx_files(tmp_path, capsys, command):
+    ip, lp = write_idx(tmp_path, n=30, rows=1, cols=3)
+    spec = ModelSpec("linear", 3, 3)
+    ckpt = str(tmp_path / "ckpt.json")
+    save_checkpoint(ckpt, Checkpoint(spec, init_params(spec, 0), {}))
+    cfg = {"dataset": {"kind": "idx_files", "images": ip, "labels": lp}}
+    cfg.update({"eval": {"checkpoints": {"best": ckpt}, "attack": {"steps": 2}},
+                "attack": {"checkpoint": ckpt, "attack": {"steps": 2}},
+                "oracle": {"checkpoint": ckpt, "resolution": 2}}[command])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 0
     capsys.readouterr()
 
 

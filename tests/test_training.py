@@ -1,12 +1,13 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
-from marginlab import training
+from marginlab import attacks, training
 from marginlab.attacks import AttackConfig, beta_attack_batch
 from marginlab.data import TRAIN, DatasetSpec, Dataset, generate_dataset
-from marginlab.models import ModelSpec, init_params, linear_model
+from marginlab.models import ModelSpec, init_params, linear_model, predict
 from marginlab.objectives import cross_entropy
 from marginlab.tensor import Tensor
 from marginlab.training import (TrainConfig, accuracy, evaluate_robust,
@@ -159,6 +160,53 @@ def test_evaluate_robust_on_an_empty_split_is_nan(kind):
         out = evaluate_robust(spec, init_params(spec, 0), empty, kind,
                               small_attack())
     assert np.isnan(out["clean"]) and np.isnan(out["robust"])
+
+
+def erm_model(k, hidden, n=600):
+    data = blobs(n=n, k=k, noise=0.15, seed=k)
+    spec = ModelSpec("mlp" if hidden else "linear", 2, k, hidden)
+    run = run_training(spec, data, TrainConfig("erm", epochs=3, lr=0.5, seed=1))
+    return spec, run.selection.last.params, data
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+@pytest.mark.parametrize("hidden", [(), (64,)], ids=["linear", "mlp"])
+def test_beta_early_exit_accuracy_equals_the_full_fold(hidden, k):
+    # 600 rows stack 5 linear slots per group, and MLP-64 slots once rows
+    # leave, so rows drop out between groups and the rest regroup
+    spec, params, data = erm_model(k, hidden)
+    correct = predict(spec, params, data.X) == data.y
+    for norm, box, eps in itertools.product(("l_inf", "l2"), (True, False),
+                                            (0.02, 0.08, 0.3)):
+        cfg = AttackConfig(epsilon=eps, norm=norm, steps=5, box=box, seed=3)
+        etas = beta_attack_batch(spec, params, data.X, data.y, cfg)[0]
+        full = np.mean(correct & (predict(spec, params, data.X + etas) == data.y))
+        assert evaluate_robust(spec, params, data, "beta", cfg)["robust"] == full
+
+
+def test_beta_early_exit_attacks_only_rows_still_robust(monkeypatch):
+    # a row misclassified at x never reaches targeted_ascent_batch, and a
+    # row that a group breaks is absent from every later group
+    spec, params, data = erm_model(10, (64,))
+    correct = predict(spec, params, data.X) == data.y
+    calls, targeted = [], attacks.targeted_ascent_batch
+
+    def recording(spec, params, X, y, targets, cfg, seed=None, live=None):
+        assert np.array_equal(X, np.tile(data.X[live], (len(seed), 1)))
+        etas, margins = targeted(spec, params, X, y, targets, cfg, seed=seed, live=live)
+        calls.append((live.copy(), len(seed), margins))
+        return etas, margins
+    monkeypatch.setattr(attacks, "targeted_ascent_batch", recording)
+    evaluate_robust(spec, params, data, "beta",
+                    AttackConfig(epsilon=0.2, steps=5, seed=3))
+    assert np.array_equal(calls[0][0], correct) and not correct.all()
+    assert sum(m for _, m, _ in calls) == 9
+    for (live, m, margins), (later, _, _) in zip(calls, calls[1:]):
+        left = live.copy()
+        left[np.flatnonzero(live)[(margins.reshape(m, -1) > 0).any(axis=0)]] = False
+        assert np.array_equal(later, left)
+    assert calls[-1][0].sum() < calls[0][0].sum()
+    assert max(m for _, m, _ in calls[1:]) > calls[0][1]  # fewer rows, larger groups
 
 
 def test_monitor_forwards_each_split_clean_once(monkeypatch):
