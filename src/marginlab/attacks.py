@@ -17,6 +17,9 @@ own stream and matmuls, so results are bit-identical to one slot at a time.
 Robust accuracy (evaluate_robust: eval, attack, the epoch monitor) exits
 early: it attacks rows correct at x until a slot breaks them, with starts
 drawn on the whole batch; the beta_at and sbeta_at batch attacks fold all.
+The loop and FGSM build no autodiff graph: they run the models.forward and
+backward kernel on per-row (values, gradient) objectives, with the graph's
+bits; the oracles and single-sample results stay on the graph, the reference.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EVAL, check_numbers, stream
-from .models import ModelSpec, ParamSet, forward_logits
-from .objectives import cross_entropy, zero_one_error
+from .models import ModelSpec, ParamSet, backward, forward, forward_logits
+from .objectives import (cross_entropy, cross_entropy_rows, margin_rows,
+                         max_margin_over_classes, zero_one_error)
 from .optim import KINDS, OptimState, step
-from .tensor import Tensor, reshape, sub, take_per_row, tsum
 
 NORMS = ("l_inf", "l2")
 
@@ -80,20 +83,21 @@ class AttackResult:
 
 def _result_at(spec, params, x, y, eta) -> AttackResult:
     logits = forward_logits(spec, params, x + eta).data[0]
-    margins = logits - logits[int(y)]
-    m = margins.copy()
-    m[int(y)] = -np.inf
-    j_star = int(np.argmax(m))
-    return AttackResult(
-        eta_star=np.asarray(eta, dtype=np.float64),
-        j_star=j_star,
-        margin_value=float(m[j_star]),
-        success=bool(zero_one_error(logits, y)),
-        per_class_margins=margins,
-    )
+    return AttackResult(np.asarray(eta, dtype=np.float64),
+                        *max_margin_over_classes(logits, y),
+                        success=bool(zero_one_error(logits, y)),
+                        per_class_margins=logits - logits[int(y)])
 
 
 # -- feasible set --------------------------------------------------------------
+
+
+def _linf_bounds(x, cfg: AttackConfig):
+    """(lo, hi): the l_inf ball around x, cut to the unit box when cfg.box."""
+    lo, hi = x - cfg.epsilon, x + cfg.epsilon
+    if cfg.box:
+        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
+    return lo, hi
 
 
 def project(x: np.ndarray, candidate: np.ndarray, cfg: AttackConfig) -> np.ndarray:
@@ -110,10 +114,7 @@ def project(x: np.ndarray, candidate: np.ndarray, cfg: AttackConfig) -> np.ndarr
     if x.shape != candidate.shape:
         raise ValueError("x and candidate shapes differ")
     if cfg.norm == "l_inf":
-        lo, hi = x - cfg.epsilon, x + cfg.epsilon
-        if cfg.box:
-            lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
-        return np.clip(candidate, lo, hi)
+        return np.clip(candidate, *_linf_bounds(x, cfg))
     eta = candidate - x
     norms = np.linalg.norm(eta, axis=-1, keepdims=True)
     scale = np.where(norms > cfg.epsilon, cfg.epsilon / np.maximum(norms, 1e-300), 1.0)
@@ -135,9 +136,7 @@ def _key(seed, cfg: AttackConfig, slot=0) -> tuple:
 def _uniform_start(x: np.ndarray, cfg: AttackConfig, key, live=None) -> np.ndarray:
     """A feasible random start around x[n,d], drawn from stream(*key) on the
     whole batch and cut to x's rows when x holds the True rows of mask live."""
-    lo, hi = x - cfg.epsilon, x + cfg.epsilon
-    if cfg.box:
-        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
+    lo, hi = _linf_bounds(x, cfg)
     if live is None:
         return project(x, stream(*key).uniform(lo, hi), cfg)
     bounds = np.zeros((2, len(live), x.shape[1]))  # rows not attacked span [0, 0]
@@ -149,19 +148,18 @@ def _uniform_start(x: np.ndarray, cfg: AttackConfig, key, live=None) -> np.ndarr
 
 
 def _ascend(spec, params, X, cfg, start, objective, optimizer):
-    """Projected ascent on a per-row objective(logits[..., n, K]) -> [..., n],
-    from the random start that start() draws; the one loop behind every
-    iterative attack.  X is a batch [n,d] or a stack [m,n,d] of problems
-    (a broadcast view is fine); `optimizer` is used when cfg names none.
+    """Projected ascent on a per-row objective(logits[..., n, K]) -> (values
+    [..., n], dvalues/dlogits) through models.forward/backward, from the start
+    that start() draws; the one loop behind every iterative attack.  X is a
+    batch [n,d] or a stack [m,n,d]; `optimizer` is used when cfg names none.
 
     Returns (etas[..., n, d], values[..., n], clean_logits[..., n, K]): per
     row the best candidate evaluated (clean point, random start, every
     iterate) and its objective value, plus the logits at the clean point.
     Each iterate's value comes from the forward pass built for its gradient.
     """
-    clean = forward_logits(spec, params, X)
-    # keep only the clean logits' values: the graph holds every activation
-    best_pts, best_vals, clean = X.copy(), objective(clean).data, clean.data
+    clean, _ = forward(spec, params, X)
+    best_pts, best_vals = X.copy(), objective(clean)[0]
 
     def keep(pts, vals):
         improved = vals > best_vals
@@ -169,15 +167,16 @@ def _ascend(spec, params, X, cfg, start, objective, optimizer):
         best_pts[improved] = pts[improved]
 
     if cfg.epsilon > 0 and cfg.steps > 0:
-        pts = start()
+        pts = start()  # first, so the bounds are not held through its peak memory
+        bounds = _linf_bounds(X, cfg) if cfg.norm == "l_inf" else None
         opt = OptimState(cfg.optimizer or optimizer, resolve_step_size(cfg))
         for _ in range(cfg.steps):
-            pert = Tensor(pts, requires_grad=True)
-            vals = objective(forward_logits(spec, params, pert))
-            tsum(vals).backward()
-            keep(pts, vals.data)
-            pts = project(X, step(opt, pts, pert.grad, direction="ascend"), cfg)
-        keep(pts, objective(forward_logits(spec, params, pts)).data)
+            logits, cache = forward(spec, params, pts)
+            vals, dlogits = objective(logits)
+            keep(pts, vals)
+            pts = step(opt, pts, backward(params, cache, dlogits), direction="ascend")
+            pts = np.clip(pts, *bounds) if bounds else project(X, pts, cfg)
+        keep(pts, objective(forward(spec, params, pts)[0])[0])
     return best_pts - X, best_vals, clean
 
 
@@ -252,12 +251,8 @@ def targeted_ascent_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
         raise ValueError("target class must differ from the true class")
     keys = seed if isinstance(seed, list) else [_key(seed, cfg)]
     stack = X.reshape(len(keys), len(X) // len(keys), X.shape[1])
-
     # flatten only the logits: [m*n, d] rows can change a matmul's bits
-    def margin(logits):
-        flat = reshape(logits, (-1, logits.shape[-1]))
-        return reshape(sub(take_per_row(flat, targets), take_per_row(flat, y)),
-                       stack.shape[:2])
+    margin = margin_rows(y, targets, spec.class_count, stack.shape[:2])
 
     # drawn in _ascend, whose first step frees it; one block is not copied
     def start():
@@ -325,11 +320,10 @@ def fgsm_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
         raise ValueError("fgsm is defined for the l_inf norm only")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
-    pert = Tensor(X, requires_grad=True)
-    logits = forward_logits(spec, params, pert)
-    tsum(cross_entropy(logits, y)).backward()
-    etas = project(X, X + cfg.epsilon * np.sign(pert.grad), cfg) - X
-    etas[np.argmax(logits.data, axis=1) != y] = 0.0
+    logits, cache = forward(spec, params, X)
+    grad = backward(params, cache, cross_entropy_rows(logits, y)[1])
+    etas = project(X, X + cfg.epsilon * np.sign(grad), cfg) - X
+    etas[np.argmax(logits, axis=1) != y] = 0.0
     return etas
 
 
@@ -351,7 +345,7 @@ def pgd_surrogate_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
     y = np.asarray(y, dtype=np.intp)
     etas, _, clean_logits = _ascend(
         spec, params, X, cfg, lambda: _uniform_start(X, cfg, _key(seed, cfg)),
-        lambda logits: cross_entropy(logits, y), "sign_sgd")
+        lambda logits: cross_entropy_rows(logits, y), "sign_sgd")
     etas[np.argmax(clean_logits, axis=1) != y] = 0.0
     return etas
 

@@ -69,10 +69,11 @@ class DatasetSpec:
         check_numbers(self)
         if self.kind not in KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
-        if not 1 <= self.class_count <= self.n:
-            raise ValueError(f"need 1 <= class_count <= n (one sample per "
-                             f"class), got class_count={self.class_count}, "
-                             f"n={self.n}")
+        # one sample per class, and no more classes than the generator draws
+        most = min(self.n, {"xor_grid": 2, "two_moons_3class": 3}.get(self.kind, self.n))
+        if not 1 <= self.class_count <= most:
+            raise ValueError(f"{self.kind} with n={self.n} draws 1 to {most} "
+                             f"classes, got class_count={self.class_count}")
 
 
 @dataclass

@@ -34,7 +34,7 @@ class ModelSpec:
             raise ValueError("linear model takes no hidden widths")
         if any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
-        if self.activation != "relu":  # forward_logits implements ReLU only
+        if self.activation != "relu":  # forward_logits and forward are ReLU only
             raise ValueError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
 
@@ -101,13 +101,13 @@ def init_params(spec: ModelSpec, seed: int) -> ParamSet:
 
 
 def forward_logits(spec: ModelSpec, params: ParamSet, x) -> Tensor:
-    """Logits for a batch x[n,d] or a stack of batches x[m,n,d] (a 1-D x is
-    treated as a single row)."""
+    """Logits for a batch x[n,d] on the autodiff graph, the reference for
+    forward/backward (a 1-D x is treated as a single row)."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.data.ndim == 1:
         x = reshape(x, (1, x.data.shape[0]))
-    if x.data.shape[-1] != spec.input_dim:
-        raise ValueError(f"input width {x.data.shape[-1]} != spec d={spec.input_dim}")
+    if x.data.shape[1] != spec.input_dim:
+        raise ValueError(f"input width {x.data.shape[1]} != spec d={spec.input_dim}")
     n_layers = len(spec.layer_dims())
     out = x
     for i in range(n_layers):
@@ -115,6 +115,38 @@ def forward_logits(spec: ModelSpec, params: ParamSet, x) -> Tensor:
         if i < n_layers - 1:
             out = relu(out)
     return out
+
+
+def forward(spec: ModelSpec, params: ParamSet, x):
+    """(logits, cache: each layer's input and hidden ReLU mask) for a batch
+    x[n,d] or a stack x[m,n,d], with forward_logits' ops in plain numpy."""
+    out, acts, masks = np.asarray(x, dtype=np.float64), [], []
+    if out.shape[-1] != spec.input_dim:
+        raise ValueError(f"input width {out.shape[-1]} != spec d={spec.input_dim}")
+    n_layers = len(spec.layer_dims())
+    for i in range(n_layers):
+        acts.append(out)
+        out = out @ params[f"w{i}"].data + params[f"b{i}"].data
+        if i < n_layers - 1:
+            masks.append(out > 0.0)
+            out = np.where(masks[-1], out, 0.0)
+    return out, (acts, masks)
+
+
+def backward(params: ParamSet, cache, dlogits, wrt="input"):
+    """The gradient at the input x of a forward cache, or {name: gradient} for
+    wrt="params" (x[n,d] only), with the graph's ops in the graph's order."""
+    acts, masks = cache
+    g, grads = dlogits, {}
+    for i in reversed(range(len(acts))):
+        if wrt == "params":
+            grads[f"w{i}"], grads[f"b{i}"] = acts[i].T @ g, g.sum(axis=0)
+            if i == 0:
+                return grads
+        g = g @ params[f"w{i}"].data.T
+        if i > 0:
+            g = g * masks[i - 1]
+    return g
 
 
 def linear_model(weight, bias) -> tuple:
@@ -176,5 +208,4 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 def predict(spec: ModelSpec, params: ParamSet, x) -> np.ndarray:
     """argmax class per row, lowest index on ties."""
-    logits = forward_logits(spec, params, x).data
-    return np.argmax(logits, axis=1)
+    return np.argmax(forward(spec, params, np.atleast_2d(x))[0], axis=1)

@@ -62,6 +62,34 @@ def cross_entropy(logits, y, base="e") -> Tensor:
     return out
 
 
+def cross_entropy_rows(logits, y, weight=1.0):
+    """(cross_entropy per row of logits[n,K], the gradient of weight times
+    their sum wrt the logits) in plain numpy, with the graph's ops in order."""
+    if np.any(y < 0) or np.any(y >= logits.shape[1]):
+        raise ValueError("class index out of range")
+    shift = logits.max(axis=1, keepdims=True)
+    exps = np.exp(logits - shift)
+    sums = exps.sum(axis=1)
+    rows = np.arange(len(logits))
+    grad = (weight / sums)[:, None] * exps
+    grad[rows, y] -= weight
+    return np.log(sums) + shift[:, 0] - logits[rows, y], grad
+
+
+def margin_rows(y, targets, k, shape):
+    """objective(logits[*shape, K]) -> (logits[target] - logits[y] per flat
+    row, its gradient e_target - e_y, the same at every point: built once)."""
+    rows = np.arange(len(y))
+    grad = np.zeros((len(y), k))
+    grad[rows, targets], grad[rows, y] = 1.0, -1.0
+    grad = grad.reshape(*shape, k)
+
+    def objective(logits):
+        flat = logits.reshape(-1, k)
+        return (flat[rows, targets] - flat[rows, y]).reshape(shape), grad
+    return objective
+
+
 def nll_of_probs(probs, y: int, base="e") -> float:
     """-log probs[y] for an explicit probability vector."""
     p = np.asarray(probs, dtype=np.float64)

@@ -84,21 +84,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def sum(self, axis=None):
-        return tsum(self, axis=axis)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -143,16 +128,15 @@ def div(a, b):
 
 
 def matmul(a, b):
-    """a[..., n, h] @ b[h, k], one product per [n, h] block of a stacked a."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shapes {a.shape} x {b.shape} do not conform")
-    return _binary(a, b, lambda x, y: x @ y, lambda g, x, y: g @ y.T,
-                   lambda g, x, y: np.swapaxes(x, -1, -2) @ g)
+    return _binary(a, b, lambda x, y: x @ y,
+                   lambda g, x, y: g @ y.T, lambda g, x, y: x.T @ g)
 
 
 def affine(x, weight, bias):
-    """x[..., n, d] @ weight[d, k] + bias[k]."""
+    """x[n,d] @ weight[d,k] + bias[k]."""
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if bias.data.ndim != 1 or bias.data.shape[0] != weight.data.shape[1]:
         raise ShapeError(f"bias shape {bias.shape} does not match weight {weight.shape}")

@@ -14,8 +14,9 @@ from .attacks import (AttackConfig, _beta_slots, _fold_slots, _slot_groups, _slo
                       pgd_surrogate_batch, targeted_ascent_batch)
 from .data import (MONITOR, SHUFFLE, TRAIN, Dataset, check_numbers, stream,
                    train_val_split)
-from .models import Checkpoint, ModelSpec, ParamSet, forward_logits, init_params, predict
-from .objectives import cross_entropy
+from .models import (Checkpoint, ModelSpec, ParamSet, backward, forward, forward_logits,
+                     init_params, predict)
+from .objectives import cross_entropy, cross_entropy_rows
 from .optim import KINDS, LrSchedule, OptimState, lr_at
 from .optim import step as opt_step
 from .tensor import Tensor, sub, take_per_row, texp, tsum, mul, div
@@ -130,24 +131,34 @@ def evaluate_robust(spec: ModelSpec, params: ParamSet, data: Dataset,
 
 
 def _descend(params, optimizers, lr, loss_of):
-    """One defender step: backpropagate the scalar loss_of(params) and move
-    every parameter with its own optimizer; returns (new params, loss)."""
-    params_g = params.with_grad()
-    loss = loss_of(params_g)
-    loss.backward()
+    """One defender step: loss_of(params) -> (loss, {name: gradient}), then
+    every parameter moves with its own optimizer; returns (new params, loss)."""
+    loss, grads = loss_of(params)
     updates = {}
-    for name, tensor in params_g:
+    for name, tensor in params:
         opt = optimizers[name]
         opt.lr = lr
-        grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        updates[name] = opt_step(opt, tensor.data, grad, "descend")
-    return params.replaced(updates), float(loss.item())
+        updates[name] = opt_step(opt, tensor.data, grads[name], "descend")
+    return params.replaced(updates), float(loss)
 
 
 def _mean_cross_entropy(spec, X, y):
-    """Surrogate-descent loss at the points X, as a function of the params."""
-    return lambda params: mul(
-        tsum(cross_entropy(forward_logits(spec, params, X), y)), 1.0 / X.shape[0])
+    """Surrogate-descent loss_of at the points X, on the models kernel."""
+    def loss_of(params):
+        logits, cache = forward(spec, params, X)
+        ces, dlogits = cross_entropy_rows(logits, y, 1.0 / len(X))
+        return ces.sum() * (1.0 / len(X)), backward(params, cache, dlogits, "params")
+    return loss_of
+
+
+def _on_graph(loss_t):
+    """loss_of for a scalar graph loss_t(params) -> Tensor, by backpropagation."""
+    def loss_of(params):
+        params = params.with_grad()
+        loss = loss_t(params)
+        loss.backward()
+        return loss.item(), {name: tensor.grad for name, tensor in params}
+    return loss_of
 
 
 def sbeta_weighted_loss(spec, params, X, y, slot_etas, wrong, mu) -> Tensor:
@@ -227,8 +238,8 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
                 etas, j_stars, _ = _fold_slots(slots, None, np.arange(len(X)))
                 slot_etas = [slot for _, slot, _ in slots]
                 wrong = np.stack([t for t, _, _ in slots], 1)
-                loss_of = lambda p: sbeta_weighted_loss(
-                    spec, p, X, y, slot_etas, wrong, cfg.mu)
+                loss_of = _on_graph(lambda p: sbeta_weighted_loss(
+                    spec, p, X, y, slot_etas, wrong, cfg.mu))
             if hook is not None and attacked:
                 hook(epoch, step_i, X, y, etas, j_stars)
             params, loss = _descend(params, optimizers, lr, loss_of)

@@ -173,6 +173,15 @@ def test_targeted_ascent_counterexample_both_classes():
         targeted_margin_ascent(spec, params, CE_X, 0, 0, l2_cfg())
 
 
+@pytest.mark.parametrize("labels", [[0, -1], [3, 0]], ids=["negative", "past-K"])
+def test_cross_entropy_attacks_reject_labels_out_of_range(labels):
+    spec, params = counterexample()
+    X, y, cfg = np.zeros((2, 2)), np.array(labels), AttackConfig(epsilon=0.1)
+    for attack in (fgsm_batch, pgd_surrogate_batch):
+        with pytest.raises(ValueError, match="class index out of range"):
+            attack(spec, params, X, y, cfg)
+
+
 def test_targeted_ascent_matches_linear_closed_form():
     rng = np.random.default_rng(2)
     cfg = AttackConfig(epsilon=0.4, norm="l2", steps=50, optimizer="sgd",

@@ -192,6 +192,10 @@ BLOCK_3 = {"kind": "gaussian_blobs", "n": 30, "class_count": 3, "noise": 0.08,
                  "labels [3, 4]", id="eval-dataset-labels"),
     pytest.param("attack", {"dataset": {**BLOCK_3, "class_count": 5}},
                  "labels [3, 4]", id="attack-dataset-labels"),
+    pytest.param("train", {"dataset": {"kind": "xor_grid", "class_count": 3}},
+                 "class_count=3", id="train-xor-grid-classes"),
+    pytest.param("train", {"dataset": {"kind": "two_moons_3class", "class_count": 5}},
+                 "class_count=5", id="train-two-moons-classes"),
 ])
 def test_cli_rejects_invalid_config_values(tmp_path, capsys, command, cfg,
                                            rejected):

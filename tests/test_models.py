@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from marginlab.models import (Checkpoint, CheckpointError, ModelSpec,
-                              forward_logits, init_params, linear_model,
+from marginlab.models import (Checkpoint, CheckpointError, ModelSpec, backward,
+                              forward, forward_logits, init_params, linear_model,
                               load_checkpoint, predict, save_checkpoint)
+from marginlab.objectives import cross_entropy, cross_entropy_rows, margin_rows
+from marginlab.tensor import Tensor, mul, sub, take_per_row, tsum
+from marginlab.training import _mean_cross_entropy
 
 # three-class linear counterexample model used throughout the suite
 CE_WEIGHT = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.0]])
@@ -129,3 +132,51 @@ def test_forward_is_pure():
     a = forward_logits(spec, params, x).data
     b = forward_logits(spec, params, x).data
     assert np.array_equal(a, b)
+
+
+# (hidden widths, points): BETA's desk slot stack (9 slots of 64 2-D rows,
+# K=10) and one 64-row batch of the 784-d MLP-256
+@pytest.mark.parametrize("hidden, shape", [
+    ((), (9, 64, 2)), ((16,), (9, 64, 2)), ((16, 8), (9, 64, 2)),
+    ((256,), (64, 784))], ids=["linear", "mlp16", "mlp16-8", "mlp256"])
+def test_kernel_matches_the_graph_bit_for_bit(hidden, shape):
+    k, (n, d) = 10, shape[-2:]
+    spec = ModelSpec("mlp" if hidden else "linear", d, k, hidden)
+    params = init_params(spec, 4)
+    rng = np.random.default_rng(1)
+    pts = rng.uniform(size=shape)
+    y = rng.integers(k, size=shape[:-1])
+    targets = (y + 1 + rng.integers(k - 1, size=y.shape)) % k
+    logits, cache = forward(spec, params, pts)
+    margins, dmargins = margin_rows(y.ravel(), targets.ravel(), k, y.shape)(logits)
+    dpts = backward(params, cache, dmargins)
+    blocks = zip(pts.reshape(-1, n, d), y.reshape(-1, n), targets.reshape(-1, n),
+                 logits.reshape(-1, n, k), margins.reshape(-1, n),
+                 dpts.reshape(-1, n, d))
+    for x, yb, tb, logits_b, margins_b, dx_margin in blocks:
+        ces, dces = cross_entropy_rows(logits_b, yb)
+        dx_ce = backward(params, forward(spec, params, x)[1], dces)
+        for objective, values, dx in (
+                (lambda lg: sub(take_per_row(lg, tb), take_per_row(lg, yb)),
+                 margins_b, dx_margin),
+                (lambda lg: cross_entropy(lg, yb), ces, dx_ce)):
+            xt = Tensor(x, requires_grad=True)
+            graph_logits = forward_logits(spec, params, xt)
+            graph_values = objective(graph_logits)
+            tsum(graph_values).backward()
+            assert np.array_equal(logits_b, graph_logits.data)
+            assert np.array_equal(values, graph_values.data)
+            assert np.array_equal(dx, xt.grad)
+        assert np.array_equal(predict(spec, params, x),
+                              np.argmax(graph_logits.data, axis=1))
+
+    # the defender's mean cross-entropy and its parameter gradients
+    x, yb = pts.reshape(-1, n, d)[0], y.reshape(-1, n)[0]
+    loss, grads = _mean_cross_entropy(spec, x, yb)(params)
+    leaves = params.with_grad()
+    graph_loss = mul(tsum(cross_entropy(forward_logits(spec, leaves, x), yb)), 1.0 / n)
+    graph_loss.backward()
+    assert loss == graph_loss.item()
+    assert sorted(grads) == sorted(name for name, _ in leaves)
+    for name, leaf in leaves:
+        assert np.array_equal(grads[name], leaf.grad)

@@ -41,6 +41,13 @@ def test_relu_subgradient_zero_at_kink():
     assert np.allclose(x.grad, [0.0, 1.0, 0.0])
 
 
+def test_matmul_rejects_a_stacked_operand():
+    with pytest.raises(ShapeError, match="do not conform"):
+        matmul(np.zeros((2, 3, 4)), np.eye(4))
+    with pytest.raises(ShapeError):
+        affine(np.zeros((2, 1, 2)), np.eye(2), [0.0, 0.0])
+
+
 def test_backward_bilinear():
     w = Tensor([[1.0], [2.0]], requires_grad=True)
     x = Tensor([[3.0, 4.0]], requires_grad=True)
