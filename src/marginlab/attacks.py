@@ -14,12 +14,12 @@ BETA's K-1 per-class problems (slots) are independent: one
 targeted_ascent_batch call runs a group of them on a leading slot axis
 (points [m,n,d]) while m*n*max(d, hidden..., K) <= 2**15, each slot on its
 own stream and matmuls, so results are bit-identical to one slot at a time.
-Robust accuracy (evaluate_robust: eval, attack, the epoch monitor) exits
-early: it attacks rows correct at x until a slot breaks them, with starts
-drawn on the whole batch; the beta_at and sbeta_at batch attacks fold all.
-The loop and FGSM build no autodiff graph: they run the models.forward and
-backward kernel on per-row (values, gradient) objectives, with the graph's
-bits; the oracles and single-sample results stay on the graph, the reference.
+beta_attack_batch is the one fold over them; with a mask live (robust
+accuracy) it exits early, attacking rows correct at x until a slot breaks
+them, with starts drawn on the whole batch.  sbeta_at keeps every slot.
+The loop, FGSM and the grid oracles build no autodiff graph: they run the
+models.forward/backward kernel on per-row (values, gradient) objectives,
+with the graph's bits; single-sample results stay on the graph.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 
 from .data import EVAL, check_numbers, stream
 from .models import ModelSpec, ParamSet, backward, forward, forward_logits
+# cross_entropy is unused here; perfbench's tracer wraps this binding
 from .objectives import (cross_entropy, cross_entropy_rows, margin_rows,
                          max_margin_over_classes, zero_one_error)
 from .optim import KINDS, OptimState, step
@@ -213,25 +214,6 @@ def _slot_groups(spec, X, y, seed, cfg, live=None):
         first += m
 
 
-def _slots_of(m, *flat):
-    """Per-slot tuples of a group's flat [m*n, ...] results."""
-    return zip(*(a.reshape(m, len(a) // m, *a.shape[1:]) for a in flat))
-
-
-def _fold_slots(slots, best, rows):
-    """Fold (targets, etas, margins) slots of the rows at indices rows into
-    the running best (etas, j_stars, margins), started when best is None;
-    strict > keeps the lower class index on ties."""
-    for targets, etas, margins in slots:
-        if best is None:
-            best = (np.zeros_like(etas), np.zeros_like(targets),
-                    np.full_like(margins, -np.inf))
-        improved = margins > best[2][rows]
-        for kept, new in zip(best, (etas, targets, margins)):
-            kept[rows[improved]] = new[improved]
-    return best
-
-
 def targeted_ascent_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
                           y: np.ndarray, targets: np.ndarray, cfg: AttackConfig,
                           seed=None, live=None):
@@ -272,31 +254,30 @@ def targeted_margin_ascent(spec: ModelSpec, params: ParamSet, x, y: int,
     return etas[0], float(margins[0])
 
 
-def _beta_slots(spec: ModelSpec, params: ParamSet, X: np.ndarray, y: np.ndarray,
-                cfg: AttackConfig, live=None, seed=None):
-    """The one loop over BETA's wrong-class slots: each group is one
-    targeted_ascent_batch call, folded into the best (etas[n,d], j_stars[n],
-    margins[n]).  Returns (best, live): a bool mask live limits the attack to
-    its rows and loses each row a group gives a margin > 0 (None: no exit)."""
+def beta_attack_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
+                      y: np.ndarray, cfg: AttackConfig, seed=None, live=None):
+    """Per-class margin ascent for every wrong class, then the best class:
+    (etas[n,d], j_stars[n], margins[n]), each slot with exactly the bits of
+    a serial targeted_ascent_batch on its own key; strict > keeps the lowest
+    class on ties.  The one BETA fold: a bool mask live attacks only its rows
+    and drops each row once a slot gives it a margin > 0, which stays its
+    best; rows never attacked keep eta 0, j* 0 and margin -inf."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.intp)
     best = (np.zeros(X.shape), np.zeros(len(X), np.intp), np.full(len(X), -np.inf))
     live = None if live is None else live.copy()
     for rows, labels, targets, keys, at in _slot_groups(spec, X, y, seed, cfg, live):
         etas, margins = targeted_ascent_batch(spec, params, rows, labels, targets,
                                               cfg, seed=keys, live=live)
-        best = _fold_slots(_slots_of(len(keys), targets, etas, margins), best, at)
+        margins = margins.reshape(len(keys), len(at))
+        for slot in zip(etas.reshape(*margins.shape, X.shape[1]),
+                        targets.reshape(margins.shape), margins):
+            improved = slot[2] > best[2][at]
+            for kept, new in zip(best, slot):
+                kept[at[improved]] = new[improved]
         if live is not None:
-            live[at[(margins.reshape(len(keys), -1) > 0).any(axis=0)]] = False
-    return best, live
-
-
-def beta_attack_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
-                      y: np.ndarray, cfg: AttackConfig, seed=None):
-    """Per-class margin ascent for every wrong class, then the best class:
-    (etas[n,d], j_stars[n], margins[n]), each slot with exactly the bits of
-    a serial targeted_ascent_batch on its own key."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.intp)
-    return _beta_slots(spec, params, X, y, cfg, seed=seed)[0]
+            live[at[(margins > 0).any(axis=0)]] = False
+    return best
 
 
 def beta_attack(spec: ModelSpec, params: ParamSet, x, y: int,
@@ -418,15 +399,11 @@ def grid_points(x: np.ndarray, epsilon: float, resolution: int,
 
 
 def _grid_eval(spec, params, pts, y, chunk=65536):
-    """(errors[n], margins[n, K]) over grid points, evaluated in chunks."""
-    outs_err, outs_m = [], []
-    for lo in range(0, pts.shape[0], chunk):
-        logits = forward_logits(spec, params, pts[lo:lo + chunk]).data
-        margins = logits - logits[:, [int(y)]]
-        errs = np.argmax(logits, axis=1) != int(y)
-        outs_err.append(errs)
-        outs_m.append(margins)
-    return np.concatenate(outs_err), np.concatenate(outs_m)
+    """(logits[n, K], margins[n, K] against class y) over grid points, run
+    through models.forward in chunks."""
+    logits = np.concatenate([forward(spec, params, pts[lo:lo + chunk])[0]
+                             for lo in range(0, pts.shape[0], chunk)])
+    return logits, logits - logits[:, [int(y)]]
 
 
 def grid_oracle_attack(spec: ModelSpec, params: ParamSet, x, y: int,
@@ -435,7 +412,7 @@ def grid_oracle_attack(spec: ModelSpec, params: ParamSet, x, y: int,
     """Exhaustive search: margin-best grid point plus an any-misclassified flag."""
     x = np.asarray(x, dtype=np.float64)
     pts = grid_points(x, epsilon, resolution, norm, box)
-    errors, margins = _grid_eval(spec, params, pts, y)
+    logits, margins = _grid_eval(spec, params, pts, y)
     m = margins.copy()
     m[:, int(y)] = -np.inf
     best_per_pt = m.max(axis=1)
@@ -445,7 +422,7 @@ def grid_oracle_attack(spec: ModelSpec, params: ParamSet, x, y: int,
         eta_star=pts[idx] - x,
         j_star=j_star,
         margin_value=float(best_per_pt[idx]),
-        success=bool(errors.any()),
+        success=bool((np.argmax(logits, axis=1) != int(y)).any()),
         per_class_margins=margins[idx],
     )
 
@@ -472,11 +449,7 @@ def grid_max_cross_entropy(spec: ModelSpec, params: ParamSet, x, y: int,
     """Grid maximizer of the cross-entropy surrogate; (eta, loss value)."""
     x = np.asarray(x, dtype=np.float64)
     pts = grid_points(x, epsilon, resolution, norm, box)
-    ces = []
-    for lo in range(0, pts.shape[0], 65536):
-        chunk = pts[lo:lo + 65536]
-        labels = np.full(chunk.shape[0], int(y))
-        ces.append(cross_entropy(forward_logits(spec, params, chunk), labels).data)
-    ces = np.concatenate(ces)
+    logits, _ = _grid_eval(spec, params, pts, y)
+    ces = cross_entropy_rows(logits, np.full(len(pts), int(y)))[0]
     idx = int(np.argmax(ces))
     return pts[idx] - x, float(ces[idx])

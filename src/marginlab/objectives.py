@@ -51,9 +51,7 @@ def cross_entropy(logits, y, base="e") -> Tensor:
         out = tsum(loss)
     else:
         y = np.asarray(y, dtype=np.intp)
-        k = logits.data.shape[1]
-        if np.any(y < 0) or np.any(y >= k):
-            raise ValueError("class index out of range")
+        _check_classes(logits.data.shape[1], y)
         out = sub(logsumexp(logits, axis=1), take_per_row(logits, y))
     if base == 2:
         out = mul(out, 1.0 / _LN2)
@@ -62,11 +60,16 @@ def cross_entropy(logits, y, base="e") -> Tensor:
     return out
 
 
+def _check_classes(k, *labels):
+    if any(np.any(c < 0) or np.any(c >= k) for c in labels):
+        raise ValueError("class index out of range")
+
+
 def cross_entropy_rows(logits, y, weight=1.0):
     """(cross_entropy per row of logits[n,K], the gradient of weight times
-    their sum wrt the logits) in plain numpy, with the graph's ops in order."""
-    if np.any(y < 0) or np.any(y >= logits.shape[1]):
-        raise ValueError("class index out of range")
+    their sum wrt the logits) in plain numpy, with the graph's ops in order;
+    weight is a scalar or one weight per row."""
+    _check_classes(logits.shape[1], y)
     shift = logits.max(axis=1, keepdims=True)
     exps = np.exp(logits - shift)
     sums = exps.sum(axis=1)
@@ -79,6 +82,7 @@ def cross_entropy_rows(logits, y, weight=1.0):
 def margin_rows(y, targets, k, shape):
     """objective(logits[*shape, K]) -> (logits[target] - logits[y] per flat
     row, its gradient e_target - e_y, the same at every point: built once)."""
+    _check_classes(k, y, targets)
     rows = np.arange(len(y))
     grad = np.zeros((len(y), k))
     grad[rows, targets], grad[rows, y] = 1.0, -1.0

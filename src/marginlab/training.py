@@ -9,9 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import (AttackConfig, _beta_slots, _fold_slots, _slot_groups, _slots_of,
-                      beta_attack_batch, fgsm_batch, grid_oracle_attack,
-                      pgd_surrogate_batch, targeted_ascent_batch)
+from .attacks import (AttackConfig, _slot_groups, beta_attack_batch, fgsm_batch,
+                      grid_oracle_attack, pgd_surrogate_batch, targeted_ascent_batch)
 from .data import (MONITOR, SHUFFLE, TRAIN, Dataset, check_numbers, stream,
                    train_val_split)
 from .models import (Checkpoint, ModelSpec, ParamSet, backward, forward, forward_logits,
@@ -103,8 +102,10 @@ def evaluate_robust(spec: ModelSpec, params: ParamSet, data: Dataset,
     """Clean accuracy and the fraction of rows correct both at x and at the
     attacked point x + eta (for grid_oracle: not broken anywhere on the
     grid); the random starts draw from seed, or from cfg.seed when None.
-    beta exits early, so in eval, attack and the monitor alike (see attacks):
-    rows no slot breaks are scored at their best eta over all K-1 slots."""
+    beta exits early, so in eval, attack and the monitor alike: it calls
+    beta_attack_batch with live=correct, a row leaves with the first slot
+    that gives it a margin > 0, and rows no slot breaks are scored at their
+    best eta over all K-1 slots."""
     if attack_kind not in ATTACK_KINDS:
         raise ValueError(f"unknown attack kind {attack_kind!r}")
     _check_labels(spec, "dataset", data)
@@ -123,9 +124,10 @@ def evaluate_robust(spec: ModelSpec, params: ParamSet, data: Dataset,
             etas = fgsm_batch(spec, params, data.X, data.y, cfg)
         elif attack_kind == "pgd":
             etas = pgd_surrogate_batch(spec, params, data.X, data.y, cfg, seed=seed)
-        else:  # early exit: only rows that no slot breaks are left to score
-            (etas, _, _), live = _beta_slots(spec, params, data.X, data.y, cfg,
-                                             correct, seed=seed)
+        else:  # early exit: a row a slot breaks leaves with its margin > 0
+            etas, _, margins = beta_attack_batch(spec, params, data.X, data.y, cfg,
+                                                 seed=seed, live=correct)
+            live = correct & ~(margins > 0)
         survived = live & (predict(spec, params, data.X + etas) == data.y)
     return {"clean": float(np.mean(correct)), "robust": float(np.mean(survived))}
 
@@ -192,9 +194,10 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
 
     The optional hook is called as hook(epoch, step, X, y, etas, j_stars)
     after each batch attack, for every algorithm but erm when epsilon > 0.
-    For sbeta_at, etas and j_stars are the best of the per-class slots, as
-    beta_attack_batch reports them; for pgd_at, j_stars is None.  A non-finite
-    defender loss (each step) or parameter (each epoch) raises FloatingPointError.
+    For sbeta_at, whose defender takes every per-class slot, etas and j_stars
+    are the best slot, the lowest class on ties, as beta_attack_batch reports
+    them; for pgd_at, j_stars is None.  A non-finite defender loss (each
+    step) or parameter (each epoch) raises FloatingPointError.
     """
     test_data = test_data if test_data is not None else Dataset(
         np.zeros((0, train_data.dim)), np.zeros(0, dtype=np.intp))
@@ -231,13 +234,18 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
                                                      seed=key)
                 loss_of = _mean_cross_entropy(spec, X + etas, y)
             else:  # sbeta_at: the defender needs every slot, the hook the best
-                slots = []
+                slot_etas, wrong, margins = [], [], []
                 for rows, labels, targets, keys, _ in _slot_groups(spec, X, y, key, atk):
-                    slots += _slots_of(len(keys), targets, *targeted_ascent_batch(
-                        spec, params, rows, labels, targets, atk, seed=keys))
-                etas, j_stars, _ = _fold_slots(slots, None, np.arange(len(X)))
-                slot_etas = [slot for _, slot, _ in slots]
-                wrong = np.stack([t for t, _, _ in slots], 1)
+                    group = targeted_ascent_batch(spec, params, rows, labels, targets,
+                                                  atk, seed=keys)
+                    slot_etas.append(group[0].reshape(len(keys), *X.shape))
+                    wrong.append(targets)
+                    margins.append(group[1].reshape(len(keys), len(X)))
+                slot_etas = np.concatenate(slot_etas)
+                wrong = np.concatenate(wrong).reshape(len(slot_etas), len(X)).T
+                every = np.arange(len(X))
+                best = np.argmax(np.concatenate(margins), axis=0)  # lowest class on ties
+                etas, j_stars = slot_etas[best, every], wrong[every, best]
                 loss_of = _on_graph(lambda p: sbeta_weighted_loss(
                     spec, p, X, y, slot_etas, wrong, cfg.mu))
             if hook is not None and attacked:

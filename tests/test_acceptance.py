@@ -327,18 +327,19 @@ def test_criterion_9_scope_statement(tmp_path):
 @report(10, "byte-identical reruns")
 def test_criterion_10_determinism(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"dataset": {"n": 60}, "epochs": 3,
-                               "algorithm": "beta_at",
-                               "attack": {"epsilon": 0.05, "steps": 4}}))
-    outputs = []
-    for tag in ("a", "b"):
-        csv = str(tmp_path / f"{tag}.csv")
-        js = str(tmp_path / f"{tag}.json")
-        ck = str(tmp_path / f"{tag}_ckpt.json")
-        assert main(["train", "--config", str(cfg), "--out-csv", csv,
-                     "--out-json", js, "--ckpt-last", ck]) == 0
-        outputs.append(tuple(open(p, "rb").read() for p in (csv, js, ck)))
-    assert outputs[0] == outputs[1]
+    for algorithm in ("sbeta_at", "beta_at"):  # beta_at's checkpoint is attacked below
+        cfg.write_text(json.dumps({"dataset": {"n": 60}, "epochs": 3,
+                                   "algorithm": algorithm,
+                                   "attack": {"epsilon": 0.05, "steps": 4}}))
+        outputs = []
+        for tag in ("a", "b"):
+            csv = str(tmp_path / f"{tag}.csv")
+            js = str(tmp_path / f"{tag}.json")
+            ck = str(tmp_path / f"{tag}_ckpt.json")
+            assert main(["train", "--config", str(cfg), "--out-csv", csv,
+                         "--out-json", js, "--ckpt-last", ck]) == 0
+            outputs.append(tuple(open(p, "rb").read() for p in (csv, js, ck)))
+        assert outputs[0] == outputs[1]
 
     attack_cfg = tmp_path / "attack.json"
     attack_cfg.write_text(json.dumps({

@@ -177,7 +177,10 @@ def test_targeted_ascent_counterexample_both_classes():
 def test_cross_entropy_attacks_reject_labels_out_of_range(labels):
     spec, params = counterexample()
     X, y, cfg = np.zeros((2, 2)), np.array(labels), AttackConfig(epsilon=0.1)
-    for attack in (fgsm_batch, pgd_surrogate_batch):
+
+    def targeted(spec, params, X, y, cfg):  # every target a class other than y
+        return targeted_ascent_batch(spec, params, X, y, (y + 1) % 3, cfg)
+    for attack in (fgsm_batch, pgd_surrogate_batch, targeted, beta_attack_batch):
         with pytest.raises(ValueError, match="class index out of range"):
             attack(spec, params, X, y, cfg)
 

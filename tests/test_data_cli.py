@@ -294,11 +294,11 @@ def test_cli_attack_seed_reaches_the_batch_attack(tmp_path, capsys, monkeypatch)
     seen = []
 
     def recording(attack):
-        def run(*args, seed):
+        def run(*args, seed, **kwargs):
             seen.append(seed)
-            return attack(*args, seed=seed)
+            return attack(*args, seed=seed, **kwargs)
         return run
-    for name in ("_beta_slots", "pgd_surrogate_batch"):  # what evaluate_robust calls
+    for name in ("beta_attack_batch", "pgd_surrogate_batch"):  # what evaluate_robust calls
         monkeypatch.setattr(training, name, recording(getattr(training, name)))
     spec = ModelSpec("linear", 2, 3)
     ckpt = str(tmp_path / "ckpt.json")

@@ -85,7 +85,8 @@ def test_sbeta_two_classes_matches_beta():
                                              seed=4, attack=atk))
     b = run_training(spec, data, TrainConfig("sbeta_at", epochs=3, lr=0.3,
                                              seed=4, attack=atk, mu=1.0))
-    params_equal(a.checkpoints[-1].params, b.checkpoints[-1].params, tol=1e-9)
+    params_equal(a.checkpoints[-1].params, b.checkpoints[-1].params)
+    assert [m.loss for m in a.metrics] == [m.loss for m in b.metrics]
 
 
 def test_sbeta_weights_saturate_at_large_mu():
