@@ -1,6 +1,6 @@
 """Margin-driven adversarial attacks and non-zero-sum adversarial training
-on a small numpy autodiff core, with exhaustive oracles for desk-scale
-verification."""
+on a plain-numpy model kernel, with a small autodiff graph as its reference
+and exhaustive oracles for desk-scale verification."""
 
 from .attacks import (AttackConfig, AttackResult, beta_attack,
                       beta_attack_batch, closed_form_linear_attack, fgsm,

@@ -17,9 +17,9 @@ own stream and matmuls, so results are bit-identical to one slot at a time.
 beta_attack_batch is the one fold over them; with a mask live (robust
 accuracy) it exits early, attacking rows correct at x until a slot breaks
 them, with starts drawn on the whole batch.  sbeta_at keeps every slot.
-The loop, FGSM and the grid oracles build no autodiff graph: they run the
-models.forward/backward kernel on per-row (values, gradient) objectives,
-with the graph's bits; single-sample results stay on the graph.
+No attack builds an autodiff graph: the loop, FGSM, the grid oracles and
+single-sample results run the models.forward/backward kernel on per-row
+(values, gradient) objectives, with the graph's bits.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EVAL, check_numbers, stream
-from .models import ModelSpec, ParamSet, backward, forward, forward_logits
-# cross_entropy is unused here; perfbench's tracer wraps this binding
-from .objectives import (cross_entropy, cross_entropy_rows, margin_rows,
-                         max_margin_over_classes, zero_one_error)
+from .models import ModelSpec, ParamSet, backward, forward
+from .models import forward_logits  # unused: perfbench's tracer wraps this binding
+from .objectives import cross_entropy  # unused: perfbench's tracer wraps this binding
+from .objectives import (cross_entropy_rows, margin_rows, max_margin_over_classes,
+                         zero_one_error)
 from .optim import KINDS, OptimState, step
 
 NORMS = ("l_inf", "l2")
@@ -83,7 +84,7 @@ class AttackResult:
 
 
 def _result_at(spec, params, x, y, eta) -> AttackResult:
-    logits = forward_logits(spec, params, x + eta).data[0]
+    logits = forward(spec, params, np.atleast_2d(x + eta))[0][0]
     return AttackResult(np.asarray(eta, dtype=np.float64),
                         *max_margin_over_classes(logits, y),
                         success=bool(zero_one_error(logits, y)),

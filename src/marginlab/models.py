@@ -44,7 +44,7 @@ class ModelSpec:
 
 
 class ParamSet:
-    """Named, ordered parameter tensors."""
+    """Named, ordered float64 parameter arrays (graph leaves after with_grad)."""
 
     def __init__(self, items):
         self._items = []
@@ -54,7 +54,7 @@ class ParamSet:
                 raise ValueError(f"duplicate parameter name {name!r}")
             seen.add(name)
             self._items.append((name, value if isinstance(value, Tensor)
-                                else Tensor(value)))
+                                else np.asarray(value, dtype=np.float64)))
 
     def __iter__(self):
         return iter(self._items)
@@ -69,17 +69,17 @@ class ParamSet:
         raise KeyError(name)
 
     def with_grad(self):
-        """Copy whose tensors are marked as gradient leaves."""
-        return ParamSet((n, Tensor(v.data, requires_grad=True, name=n))
-                        for n, v in self._items)
+        """Copy whose arrays are wrapped as autodiff gradient leaves, the one
+        place a Tensor is built from parameters; for forward_logits only (the
+        kernel, copy and save_checkpoint take plain arrays)."""
+        return ParamSet((n, Tensor(v, requires_grad=True)) for n, v in self._items)
 
     def replaced(self, updates: dict):
-        """Copy with some parameters swapped for new arrays."""
-        return ParamSet((n, Tensor(updates[n]) if n in updates else v)
-                        for n, v in self._items)
+        """Copy with some parameters swapped for new arrays; the rest are shared."""
+        return ParamSet((n, updates.get(n, v)) for n, v in self._items)
 
     def copy(self):
-        return ParamSet((n, Tensor(v.data.copy())) for n, v in self._items)
+        return ParamSet((n, v.copy()) for n, v in self._items)
 
 
 @dataclass
@@ -126,7 +126,7 @@ def forward(spec: ModelSpec, params: ParamSet, x):
     n_layers = len(spec.layer_dims())
     for i in range(n_layers):
         acts.append(out)
-        out = out @ params[f"w{i}"].data + params[f"b{i}"].data
+        out = out @ params[f"w{i}"] + params[f"b{i}"]
         if i < n_layers - 1:
             masks.append(out > 0.0)
             out = np.where(masks[-1], out, 0.0)
@@ -143,7 +143,7 @@ def backward(params: ParamSet, cache, dlogits, wrt="input"):
             grads[f"w{i}"], grads[f"b{i}"] = acts[i].T @ g, g.sum(axis=0)
             if i == 0:
                 return grads
-        g = g @ params[f"w{i}"].data.T
+        g = g @ params[f"w{i}"].T
         if i > 0:
             g = g * masks[i - 1]
     return g
@@ -162,7 +162,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     doc = {
         "spec": asdict(ckpt.spec),
         "params": [
-            {"name": n, "shape": list(v.data.shape), "data": v.data.ravel().tolist()}
+            {"name": n, "shape": list(v.shape), "data": v.ravel().tolist()}
             for n, v in ckpt.params
         ],
         "meta": ckpt.meta,
@@ -199,7 +199,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                 f"param {entry['name']!r}: data length {arr.size} does not "
                 f"match shape {entry['shape']}")
         items.append((entry["name"], arr.reshape(entry["shape"])))
-    expected = [(name, t.shape) for name, t in init_params(spec, 0)]
+    expected = [(name, v.shape) for name, v in init_params(spec, 0)]
     found = [(name, arr.shape) for name, arr in items]
     if found != expected:
         raise CheckpointError(f"params {found} do not match the spec's {expected}")

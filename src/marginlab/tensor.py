@@ -4,7 +4,8 @@ The graph is recorded implicitly: every operation returns a new Tensor that
 remembers its parents and a closure accumulating gradients into them.  A
 single backward() traversal in reverse topological order produces gradients
 for every leaf with requires_grad=True.  Tensors are treated as immutable
-once created; optimizers build fresh Tensors instead of mutating data.
+once created.  The graph is the reference for the plain-numpy kernel in
+models; parameters become leaves only through ParamSet.with_grad.
 """
 
 from __future__ import annotations
@@ -29,12 +30,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """Dense float64 array with optional gradient tracking."""
 
-    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None,
-                 name=None):
+    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.name = name
         self._parents = tuple(parents)
         self._backward_fn = backward_fn
 

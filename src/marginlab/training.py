@@ -137,10 +137,10 @@ def _descend(params, optimizers, lr, loss_of):
     every parameter moves with its own optimizer; returns (new params, loss)."""
     loss, grads = loss_of(params)
     updates = {}
-    for name, tensor in params:
+    for name, value in params:
         opt = optimizers[name]
         opt.lr = lr
-        updates[name] = opt_step(opt, tensor.data, grads[name], "descend")
+        updates[name] = opt_step(opt, value, grads[name], "descend")
     return params.replaced(updates), float(loss)
 
 
@@ -255,7 +255,7 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
                 raise FloatingPointError(f"non-finite defender loss at epoch {epoch}, "
                                          f"step {step_i}")
             epoch_loss += loss
-        if not all(np.isfinite(t.data).all() for _, t in params):
+        if not all(np.isfinite(v).all() for _, v in params):
             raise FloatingPointError(f"non-finite parameters at epoch {epoch}, "
                                      f"step {step_i}")
 

@@ -17,13 +17,13 @@ from marginlab.attacks import (AttackConfig, _wrong_class_table,
                                grid_oracle_attack, project, targeted_margin_ascent)
 from marginlab.cli import main
 from marginlab.data import DatasetSpec, generate_dataset
-from marginlab.models import (ModelSpec, forward_logits, init_params,
-                              linear_model)
+from marginlab.models import (ModelSpec, backward, forward, forward_logits,
+                              init_params, linear_model)
 from marginlab.objectives import (MarginVector, SmoothingConfig, cross_entropy,
-                                  entropy, lambda_star, lse_smoothed_margin,
-                                  lse_smoothed_margin_t,
-                                  max_margin_over_classes, negative_margin,
-                                  nll_of_probs, zero_one_error)
+                                  cross_entropy_rows, entropy, lambda_star,
+                                  lse_smoothed_margin, lse_smoothed_margin_t,
+                                  margin_rows, max_margin_over_classes,
+                                  negative_margin, nll_of_probs, zero_one_error)
 from marginlab.tensor import Tensor, finite_diff_check
 from marginlab.training import (TrainConfig, evaluate_robust, run_training,
                                 sbeta_weighted_loss)
@@ -99,19 +99,73 @@ def test_criterion_3_oracle_equivalence():
     assert time.perf_counter() - t0 < 60.0
 
 
+def _central_diff(fn, point, h=1e-6):
+    """Central-difference gradient of the scalar fn(array) at the array point."""
+    grad = np.zeros_like(point)
+    for idx in np.ndindex(*point.shape):
+        plus, minus = point.copy(), point.copy()
+        plus[idx] += h
+        minus[idx] -= h
+        grad[idx] = (fn(plus) - fn(minus)) / (2 * h)
+    return grad
+
+
 def _numeric_param_grads(fn, params, h=1e-6):
-    base = {n: v.data.copy() for n, v in params}
-    grads = {}
-    for name in base:
-        g = np.zeros_like(base[name])
-        for idx in np.ndindex(*g.shape):
-            vp = {n: base[n].copy() for n in base}
-            vm = {n: base[n].copy() for n in base}
-            vp[name][idx] += h
-            vm[name][idx] -= h
-            g[idx] = (fn(params.replaced(vp)) - fn(params.replaced(vm))) / (2 * h)
-        grads[name] = g
-    return grads
+    return {name: _central_diff(lambda v: fn(params.replaced({name: v})), value, h)
+            for name, value in params}
+
+
+def _relative_error(analytic, numeric):
+    """Worst |analytic - numeric| / max(1, |analytic|) over the coordinates."""
+    return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))))
+
+
+@pytest.mark.parametrize("hidden", [None, (5,), (5, 4)],
+                         ids=["linear", "mlp5", "mlp5-4"])
+def test_kernel_gradients_match_finite_differences(hidden):
+    d, k = 3, 4
+    spec = ModelSpec("mlp", d, k, hidden) if hidden else ModelSpec("linear", d, k)
+    rng = np.random.default_rng(11)
+    params = init_params(spec, 0)
+    params = params.replaced({n: rng.normal(size=v.shape) for n, v in params})
+    worst = 0.0
+    for shape in ((6, d), (3, 6, d)):  # a batch and a slot stack
+        x = rng.normal(size=shape)
+        dlogits = rng.normal(size=(*shape[:-1], k))
+
+        def f(pts, p):  # the scalar whose gradient at the logits is dlogits
+            return float(np.sum(dlogits * forward(spec, p, pts)[0]))
+        cache = forward(spec, params, x)[1]
+        worst = max(worst, _relative_error(backward(params, cache, dlogits),
+                                           _central_diff(lambda v: f(v, params), x)))
+        if len(shape) == 2:  # wrt="params" takes a batch only
+            grads = backward(params, cache, dlogits, "params")
+            numeric = _numeric_param_grads(lambda p: f(x, p), params)
+            assert sorted(grads) == sorted(numeric)
+            worst = max(worst, *(_relative_error(grads[n], numeric[n]) for n in grads))
+    assert worst < 1e-5
+
+
+def test_kernel_objectives_match_finite_differences():
+    rng = np.random.default_rng(12)
+    m, n, k = 2, 3, 5
+    worst = 0.0
+    for _ in range(20):
+        logits = rng.normal(size=(m, n, k)) * 3.0
+        y = rng.integers(k, size=m * n)
+        targets = (y + 1 + rng.integers(k - 1, size=m * n)) % k
+        coef = rng.normal(size=(m, n))  # the scalar is sum(coef * values)
+        margin = margin_rows(y, targets, k, (m, n))
+        worst = max(worst, _relative_error(
+            coef[..., None] * margin(logits)[1],
+            _central_diff(lambda lg: float(np.sum(coef * margin(lg)[0])), logits)))
+        flat, weight = logits.reshape(-1, k), coef.ravel()
+        for w in (weight, 1.0 / len(flat)):  # per-row weights and one scalar
+            worst = max(worst, _relative_error(
+                cross_entropy_rows(flat, y, w)[1],
+                _central_diff(lambda lg: float(np.sum(w * cross_entropy_rows(lg, y)[0])),
+                              flat)))
+    assert worst < 1e-5
 
 
 @report(4, "gradient correctness")

@@ -28,7 +28,7 @@ def test_forward_counterexample_points():
 def test_zero_parameter_mlp_gives_zero_logits():
     spec = ModelSpec("mlp", 2, 3, (4,))
     params = init_params(spec, 0)
-    zeroed = params.replaced({n: np.zeros_like(v.data) for n, v in params})
+    zeroed = params.replaced({n: np.zeros_like(v) for n, v in params})
     out = forward_logits(spec, zeroed, np.random.default_rng(0).uniform(size=(5, 2)))
     assert np.allclose(out.data, 0.0)
 
@@ -37,15 +37,36 @@ def test_init_deterministic_per_seed():
     spec = ModelSpec("mlp", 3, 2, (5,))
     a, b = init_params(spec, 42), init_params(spec, 42)
     for (na, va), (nb, vb) in zip(a, b):
-        assert na == nb and np.array_equal(va.data, vb.data)
+        assert na == nb and np.array_equal(va, vb)
     c = init_params(spec, 43)
-    assert any(not np.array_equal(va.data, vc.data)
+    assert any(not np.array_equal(va, vc)
                for (_, va), (_, vc) in zip(a, c))
+
+
+def test_params_are_arrays_and_only_with_grad_builds_leaves(tmp_path):
+    spec = ModelSpec("mlp", 2, 3, (4,))
+    params = init_params(spec, 0)
+    path = str(tmp_path / "ckpt.json")
+    save_checkpoint(path, Checkpoint(spec, params))
+    replaced = params.replaced({"b0": np.ones(4)})
+    copied = params.copy()
+    for ps in (params, load_checkpoint(path).params, replaced, copied):
+        assert all(type(v) is np.ndarray and v.dtype == np.float64 for _, v in ps)
+    assert replaced["w0"] is params["w0"] and copied["w0"] is not params["w0"]
+
+    before = [(n, v, v.copy()) for n, v in params]
+    leaves = params.with_grad()
+    assert all(isinstance(t, Tensor) and t.requires_grad and not t._parents
+               for _, t in leaves)
+    tsum(forward_logits(spec, leaves, np.ones((2, 2)))).backward()
+    assert all(t.grad is not None for _, t in leaves)
+    for (n, v), (name, array, values) in zip(params, before):
+        assert n == name and v is array and np.array_equal(v, values)
 
 
 def test_linear_param_count():
     params = init_params(ModelSpec("linear", 2, 3), 0)
-    assert sum(v.data.size for _, v in params) == 9
+    assert sum(v.size for _, v in params) == 9
 
 
 def test_spec_validation():

@@ -29,9 +29,9 @@ def params_equal(a, b, tol=0.0):
     for (na, va), (nb, vb) in zip(a, b):
         assert na == nb
         if tol == 0.0:
-            assert np.array_equal(va.data, vb.data)
+            assert np.array_equal(va, vb)
         else:
-            assert np.allclose(va.data, vb.data, atol=tol)
+            assert np.allclose(va, vb, atol=tol)
 
 
 def test_erm_fits_separable_blobs():
@@ -91,7 +91,7 @@ def test_sbeta_two_classes_matches_beta():
 
 def test_sbeta_weights_saturate_at_large_mu():
     spec = ModelSpec("linear", 2, 3)
-    params = init_params(spec, 6).with_grad()
+    params = init_params(spec, 6)
     X = np.array([[0.3, 0.7]])
     y = np.array([0])
     wrong = np.array([[1, 2]])
@@ -101,12 +101,28 @@ def test_sbeta_weights_saturate_at_large_mu():
     per_term = []
     for eta, j in zip(slot_etas, wrong[0]):
         logits = np.asarray(
-            np.atleast_2d(X) + eta) @ params["w0"].data + params["b0"].data
+            np.atleast_2d(X) + eta) @ params["w0"] + params["b0"]
         m = logits[0, j] - logits[0, y[0]]
         ce = cross_entropy(Tensor(logits), y).item()
         per_term.append((m, ce))
     best_ce = max(per_term)[1]
     assert big == pytest.approx(best_ce, abs=1e-6)
+
+
+@pytest.mark.parametrize("algorithm", ["beta_at", "sbeta_at"])
+def test_checkpoints_keep_their_epoch_params(algorithm):
+    # parameter arrays are shared between parameter sets, not copied per
+    # step: later epochs must not write into an earlier checkpoint
+    data = blobs(n=60)
+    spec = ModelSpec("mlp", 2, 3, (8,))
+    cfg = dict(lr=0.2, optimizer="adam", seed=5, attack=small_attack())
+    three = run_training(spec, data, TrainConfig(algorithm, epochs=3, **cfg))
+    one = run_training(spec, data, TrainConfig(algorithm, epochs=1, **cfg))
+    for (na, va), (nb, vb) in zip(three.checkpoints[0].params,
+                                  one.checkpoints[0].params):
+        assert na == nb and va.tobytes() == vb.tobytes()
+    assert three.checkpoints[0].params["w0"].tobytes() != \
+        three.checkpoints[-1].params["w0"].tobytes()
 
 
 def test_select_checkpoints_prefers_earliest_tie():
