@@ -14,9 +14,11 @@ BETA's K-1 per-class problems (slots) are independent: one
 targeted_ascent_batch call runs a group of them on a leading slot axis
 (points [m,n,d]) while m*n*max(d, hidden..., K) <= 2**15, each slot on its
 own stream and matmuls, so results are bit-identical to one slot at a time.
-beta_attack_batch is the one fold over them; with a mask live (robust
-accuracy) it exits early, attacking rows correct at x until a slot breaks
-them, with starts drawn on the whole batch.  sbeta_at keeps every slot.
+beta_attack_batch holds the one loop over them and the one fold, for
+training and evaluation alike; with a mask live (robust accuracy) it exits
+early, attacking rows correct at x until a slot breaks them, with starts
+drawn on the whole batch, and given a slots array it also hands back every
+slot's etas, which sbeta_at's defender weighs.
 No attack builds an autodiff graph: the loop, FGSM, the grid oracles and
 single-sample results run the models.forward/backward kernel on per-row
 (values, gradient) objectives, with the graph's bits.
@@ -59,6 +61,9 @@ class AttackConfig:
     def __post_init__(self):
         check_numbers(self)
         _check_ball(self.epsilon, self.norm)
+        if self.step_size is not None and not (np.isfinite(self.step_size)
+                                               and self.step_size > 0):
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.optimizer is not None and self.optimizer not in KINDS:
@@ -182,8 +187,9 @@ def _ascend(spec, params, X, cfg, start, objective, optimizer):
     return best_pts - X, best_vals, clean
 
 
-def _wrong_class_table(y, k):
-    """[n, K-1]: slot s of row i is the s-th smallest class index != y[i]."""
+def wrong_classes(y, k):
+    """[n, K-1]: slot s of row i is the s-th smallest class index != y[i];
+    the one statement of BETA's slot order."""
     slots = np.arange(k - 1)
     return slots + (slots >= np.asarray(y, dtype=np.intp)[:, None])
 
@@ -193,26 +199,6 @@ def _wrong_class_table(y, k):
 # slots of a 2000-row batch moved -6% to +9% and 9 slots lost 25-32%;
 # all K-1 slots of a 2000x784 batch ran 15% slower stacked than one by one.
 _GROUP_ELEMS = 2 ** 15
-
-
-def _slot_groups(spec, X, y, seed, cfg, live=None):
-    """Per group of wrong-class slots, in slot order, the targeted_ascent_batch
-    arguments (rows[m*r,d] = m copies of the r rows of X[n,d] that the mask
-    live holds as the group starts, all when None; labels, targets, keys[m])
-    and those rows' indices; slot s draws from _key(seed, cfg, s)."""
-    n, d = X.shape
-    k = spec.class_count
-    wrong = _wrong_class_table(y, k)
-    first = 0
-    while first < k - 1 and (live is None or live.any()):
-        rows = np.arange(n) if live is None else np.flatnonzero(live)
-        part = X if live is None else X[rows]
-        m = min(k - 1 - first,
-                max(1, _GROUP_ELEMS // max(1, len(rows) * max(d, *spec.hidden, k))))
-        yield (np.tile(part, (m, 1)) if m > 1 else part, np.tile(y[rows], m),
-               wrong[rows, first:first + m].T.ravel(),
-               [_key(seed, cfg, s) for s in range(first, first + m)], rows)
-        first += m
 
 
 def targeted_ascent_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
@@ -256,28 +242,45 @@ def targeted_margin_ascent(spec: ModelSpec, params: ParamSet, x, y: int,
 
 
 def beta_attack_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
-                      y: np.ndarray, cfg: AttackConfig, seed=None, live=None):
+                      y: np.ndarray, cfg: AttackConfig, seed=None, live=None,
+                      slots=None):
     """Per-class margin ascent for every wrong class, then the best class:
-    (etas[n,d], j_stars[n], margins[n]), each slot with exactly the bits of
-    a serial targeted_ascent_batch on its own key; strict > keeps the lowest
-    class on ties.  The one BETA fold: a bool mask live attacks only its rows
-    and drops each row once a slot gives it a margin > 0, which stays its
-    best; rows never attacked keep eta 0, j* 0 and margin -inf."""
+    (etas[n,d], j_stars[n], margins[n]); strict > keeps the lowest class on
+    ties.  The one loop over BETA's slots: slot s targets column s of
+    wrong_classes(y, K) and draws from _key(seed, cfg, s); slots run in
+    groups, one targeted_ascent_batch call each, while
+    m*rows*max(d, hidden..., K) <= _GROUP_ELEMS, with exactly the bits of one
+    call per slot.  A bool mask live attacks only its rows and drops each
+    row once a slot gives it a margin > 0, which stays its best; rows never
+    attacked keep eta 0, j* 0 and margin -inf.  An array slots[K-1,n,d]
+    receives each slot's etas at the rows it attacks."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
-    best = (np.zeros(X.shape), np.zeros(len(X), np.intp), np.full(len(X), -np.inf))
+    (n, d), k = X.shape, spec.class_count
+    wrong = wrong_classes(y, k)
+    best = (np.zeros(X.shape), np.zeros(n, np.intp), np.full(n, -np.inf))
     live = None if live is None else live.copy()
-    for rows, labels, targets, keys, at in _slot_groups(spec, X, y, seed, cfg, live):
-        etas, margins = targeted_ascent_batch(spec, params, rows, labels, targets,
-                                              cfg, seed=keys, live=live)
-        margins = margins.reshape(len(keys), len(at))
-        for slot in zip(etas.reshape(*margins.shape, X.shape[1]),
-                        targets.reshape(margins.shape), margins):
+    first = 0
+    while first < k - 1 and (live is None or live.any()):
+        at = np.arange(n) if live is None else np.flatnonzero(live)
+        part = X if live is None else X[at]
+        m = min(k - 1 - first,
+                max(1, _GROUP_ELEMS // max(1, len(at) * max(d, *spec.hidden, k))))
+        targets = wrong[at, first:first + m].T
+        etas, margins = targeted_ascent_batch(
+            spec, params, np.tile(part, (m, 1)) if m > 1 else part,
+            np.tile(y[at], m), targets.ravel(), cfg,
+            seed=[_key(seed, cfg, s) for s in range(first, first + m)], live=live)
+        etas, margins = etas.reshape(m, len(at), d), margins.reshape(m, len(at))
+        if slots is not None:
+            slots[first:first + m, at] = etas
+        for slot in zip(etas, targets, margins):
             improved = slot[2] > best[2][at]
             for kept, new in zip(best, slot):
                 kept[at[improved]] = new[improved]
         if live is not None:
             live[at[(margins > 0).any(axis=0)]] = False
+        first += m
     return best
 
 
@@ -380,6 +383,8 @@ def grid_points(x: np.ndarray, epsilon: float, resolution: int,
                 norm: str = "l_inf", box: bool = True) -> np.ndarray:
     """All feasible points of a (2*resolution+1)^d axis grid around x."""
     _check_ball(epsilon, norm)
+    if not resolution >= 1:
+        raise ValueError(f"grid resolution must be >= 1, got {resolution}")
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
     if d > 3:

@@ -52,17 +52,8 @@ TRAIN_DEFAULTS = {
     "dataset": DATASET_DEFAULTS,
     "test_dataset": None,   # merged over the resolved "dataset" block
     "model": {"kind": "linear", "hidden": []},
-    "algorithm": "beta_at",
-    "epochs": 10,
-    "batch_size": 64,
-    "optimizer": "sgd",
-    "lr": 0.5,
-    "decay_epochs": [],
-    "decay_factor": 0.1,
-    "attack": asdict(AttackConfig(epsilon=0.1)),
-    "mu": 1.0,
-    "seed": 0,
-    "val_fraction": 0.2,
+    **asdict(TrainConfig("beta_at", epochs=10, attack=AttackConfig(epsilon=0.1))),
+    "decay_epochs": [],     # a list, as a config file gives it
 }
 
 

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import (AttackConfig, _slot_groups, beta_attack_batch, fgsm_batch,
-                      grid_oracle_attack, pgd_surrogate_batch, targeted_ascent_batch)
+from .attacks import (AttackConfig, beta_attack_batch, fgsm_batch, grid_oracle_attack,
+                      pgd_surrogate_batch, wrong_classes)
+from .attacks import targeted_ascent_batch  # unused: perfbench's tracer wraps this binding
 from .data import (MONITOR, SHUFFLE, TRAIN, Dataset, check_numbers, stream,
                    train_val_split)
 from .models import (Checkpoint, ModelSpec, ParamSet, backward, forward, forward_logits,
@@ -47,8 +48,12 @@ class TrainConfig:
                              f"{self.epochs} and {self.batch_size}")
         if self.optimizer not in KINDS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.algorithm == "sbeta_at" and self.mu <= 0:
-            raise ValueError("sbeta_at needs mu > 0")
+        for name in ("lr", "decay_factor"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if self.algorithm == "sbeta_at" and not self.mu > 0:  # also rejects NaN
+            raise ValueError(f"sbeta_at needs mu > 0, got {self.mu}")
         if self.attack is None and self.algorithm != "erm":
             raise ValueError(f"{self.algorithm} needs an attack config")
         if not 0 < self.val_fraction < 1:  # also rejects NaN
@@ -194,10 +199,11 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
 
     The optional hook is called as hook(epoch, step, X, y, etas, j_stars)
     after each batch attack, for every algorithm but erm when epsilon > 0.
-    For sbeta_at, whose defender takes every per-class slot, etas and j_stars
-    are the best slot, the lowest class on ties, as beta_attack_batch reports
-    them; for pgd_at, j_stars is None.  A non-finite defender loss (each
-    step) or parameter (each epoch) raises FloatingPointError.
+    beta_at and sbeta_at make one beta_attack_batch call per batch, and the
+    hook gets its fold: the best slot, the lowest class on ties; sbeta_at
+    also has it fill every slot's etas for its defender.  For pgd_at,
+    j_stars is None.  A non-finite defender loss (each step) or parameter
+    (each epoch) raises FloatingPointError.
     """
     test_data = test_data if test_data is not None else Dataset(
         np.zeros((0, train_data.dim)), np.zeros(0, dtype=np.intp))
@@ -229,25 +235,15 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
             elif cfg.algorithm == "pgd_at":
                 etas = pgd_surrogate_batch(spec, params, X, y, atk, seed=key)
                 loss_of = _mean_cross_entropy(spec, X + etas, y)
-            elif cfg.algorithm == "beta_at":
+            else:  # beta_at, sbeta_at; sbeta_at's defender weighs every slot
+                slot_etas = (np.empty((spec.class_count - 1, *X.shape))
+                             if cfg.algorithm == "sbeta_at" else None)
                 etas, j_stars, _ = beta_attack_batch(spec, params, X, y, atk,
-                                                     seed=key)
-                loss_of = _mean_cross_entropy(spec, X + etas, y)
-            else:  # sbeta_at: the defender needs every slot, the hook the best
-                slot_etas, wrong, margins = [], [], []
-                for rows, labels, targets, keys, _ in _slot_groups(spec, X, y, key, atk):
-                    group = targeted_ascent_batch(spec, params, rows, labels, targets,
-                                                  atk, seed=keys)
-                    slot_etas.append(group[0].reshape(len(keys), *X.shape))
-                    wrong.append(targets)
-                    margins.append(group[1].reshape(len(keys), len(X)))
-                slot_etas = np.concatenate(slot_etas)
-                wrong = np.concatenate(wrong).reshape(len(slot_etas), len(X)).T
-                every = np.arange(len(X))
-                best = np.argmax(np.concatenate(margins), axis=0)  # lowest class on ties
-                etas, j_stars = slot_etas[best, every], wrong[every, best]
-                loss_of = _on_graph(lambda p: sbeta_weighted_loss(
-                    spec, p, X, y, slot_etas, wrong, cfg.mu))
+                                                     seed=key, slots=slot_etas)
+                loss_of = (_mean_cross_entropy(spec, X + etas, y) if slot_etas is None
+                           else _on_graph(lambda p: sbeta_weighted_loss(
+                               spec, p, X, y, slot_etas,
+                               wrong_classes(y, spec.class_count), cfg.mu)))
             if hook is not None and attacked:
                 hook(epoch, step_i, X, y, etas, j_stars)
             params, loss = _descend(params, optimizers, lr, loss_of)

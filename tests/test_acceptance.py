@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from marginlab.attacks import (AttackConfig, _wrong_class_table,
-                               closed_form_linear_attack, grid_margin_per_class,
-                               grid_oracle_attack, project, targeted_margin_ascent)
+from marginlab.attacks import (AttackConfig, closed_form_linear_attack,
+                               grid_margin_per_class, grid_oracle_attack, project,
+                               targeted_margin_ascent, wrong_classes)
 from marginlab.cli import main
 from marginlab.data import DatasetSpec, generate_dataset
 from marginlab.models import (ModelSpec, backward, forward, forward_logits,
@@ -193,7 +193,7 @@ def test_criterion_4_gradients():
         params = init_params(spec, 4000 + trial)
         X = rng.normal(size=(2, 2))
         y = rng.integers(3, size=2)
-        wrong = _wrong_class_table(y, 3)
+        wrong = wrong_classes(y, 3)
         slot_etas = [rng.normal(size=(2, 2)) * 0.05 for _ in range(2)]
         mu = float(rng.uniform(0.5, 20.0))
 

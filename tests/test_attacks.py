@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from marginlab.attacks import (AttackConfig, beta_attack, beta_attack_batch,
+from marginlab.attacks import (AttackConfig, _key, beta_attack, beta_attack_batch,
                                closed_form_linear_attack, fgsm, fgsm_batch,
                                grid_margin_per_class, grid_max_cross_entropy,
-                               grid_oracle_attack, pgd_surrogate,
+                               grid_oracle_attack, grid_points, pgd_surrogate,
                                pgd_surrogate_batch, project, resolve_step_size,
-                               targeted_ascent_batch, targeted_margin_ascent)
+                               targeted_ascent_batch, targeted_margin_ascent,
+                               wrong_classes)
 from marginlab.data import EVAL
 from marginlab.models import ModelSpec, forward_logits, init_params, linear_model
 from marginlab.objectives import zero_one_error
@@ -304,6 +307,40 @@ def test_beta_batch_is_fold_of_serial_slot_ascents():
         assert np.any(pgd[~clean_wrong] != 0.0)
 
 
+@pytest.mark.parametrize("k", [2, 3, 5, 10])
+@pytest.mark.parametrize("hidden", [(), (48,)], ids=["linear", "mlp"])
+@pytest.mark.parametrize("n", [20, 1000], ids=["stacked", "one-slot-groups"])
+def test_beta_slots_are_the_serial_slot_ascents(n, hidden, k):
+    # 20 rows stack every slot in one group; at 1000 rows each slot is a
+    # group of its own.  Slot s of the buffer holds exactly the one-slot
+    # ascent on the s-th wrong class, and the result is their strict-> fold.
+    # With no steps, two classes that share a weight column (init biases are
+    # 0) tie exactly, and the lower one must keep the row.
+    rng = np.random.default_rng(k)
+    spec = ModelSpec("mlp" if hidden else "linear", 40, k, hidden)
+    params = init_params(spec, 3)
+    last = f"w{len(hidden)}"
+    tied = params.replaced({last: params[last][:, [*range(k - 1), k - 2]]})
+    X, y = rng.uniform(size=(n, 40)), rng.integers(k, size=n)
+    cfg = AttackConfig(epsilon=0.05, norm="l2", steps=3, seed=4)
+    for params, cfg in ((params, cfg), (tied, replace(cfg, steps=0))):
+        buf = np.full((k - 1, n, 40), np.nan)
+        etas, j_stars, margins = beta_attack_batch(spec, params, X, y, cfg, slots=buf)
+
+        best = (np.zeros_like(X), np.zeros(n, dtype=np.intp), np.full(n, -np.inf))
+        for s in range(k - 1):
+            targets = wrong_classes(y, k)[:, s]
+            eta_s, m_s = targeted_ascent_batch(spec, params, X, y, targets, cfg,
+                                               seed=[_key(None, cfg, s)])
+            assert np.array_equal(buf[s], eta_s)
+            better = m_s > best[2]
+            for kept, new in zip(best, (eta_s, targets, m_s)):
+                kept[better] = new[better]
+        assert np.array_equal(etas, best[0])
+        assert np.array_equal(j_stars, best[1])
+        assert np.array_equal(margins, best[2])
+
+
 def test_targeted_batch_with_a_seed_list_is_one_call_per_block():
     rng = np.random.default_rng(10)
     spec = ModelSpec("mlp", 3, 4, (5,))
@@ -336,6 +373,21 @@ def test_batch_attacks_accept_an_empty_batch():
 def test_attack_config_rejects_bad_epsilon(eps):
     with pytest.raises(ValueError, match="epsilon"):
         AttackConfig(epsilon=eps)
+
+
+@pytest.mark.parametrize("step_size", [-0.04, 0.0, float("nan"), float("inf")])
+def test_attack_config_rejects_bad_step_size(step_size):
+    # a negative step runs the ascent downhill and a NaN one poisons it, and
+    # either way the robust accuracy it reports is wrong
+    with pytest.raises(ValueError, match="step_size must be finite and > 0"):
+        AttackConfig(epsilon=0.1, step_size=step_size)
+
+
+@pytest.mark.parametrize("resolution", [0, -1])
+def test_grid_points_rejects_a_resolution_below_one(resolution):
+    # at 0 the grid is the single corner x - eps, which certifies too much
+    with pytest.raises(ValueError, match=f"resolution must be >= 1, got {resolution}"):
+        grid_points(np.array([0.5, 0.5]), 0.1, resolution)
 
 
 def test_closed_form_cases():

@@ -196,6 +196,15 @@ BLOCK_3 = {"kind": "gaussian_blobs", "n": 30, "class_count": 3, "noise": 0.08,
                  "class_count=3", id="train-xor-grid-classes"),
     pytest.param("train", {"dataset": {"kind": "two_moons_3class", "class_count": 5}},
                  "class_count=5", id="train-two-moons-classes"),
+    pytest.param("train", {"attack": {"step_size": -0.1}}, "step_size must be",
+                 id="train-step-size"),
+    pytest.param("train", {"lr": -0.5}, "lr must be finite and >= 0, got -0.5",
+                 id="train-negative-lr"),
+    pytest.param("train", {"decay_factor": -1.0}, "decay_factor", id="train-decay-factor"),
+    pytest.param("eval", {"attacks": ["grid_oracle"], "grid_resolution": 0},
+                 "resolution must be >= 1, got 0", id="eval-grid-resolution"),
+    pytest.param("oracle", {"resolution": -3}, "resolution must be >= 1, got -3",
+                 id="oracle-resolution"),
 ])
 def test_cli_rejects_invalid_config_values(tmp_path, capsys, command, cfg,
                                            rejected):

@@ -341,6 +341,23 @@ def test_train_config_validation():
         AttackConfig(epsilon=0.1, optimizer="foo")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr", -0.5), ("lr", float("nan")), ("lr", float("inf")),
+    ("decay_factor", -1.0), ("decay_factor", float("nan")),
+    ("mu", float("nan")),
+])
+def test_train_config_rejects_numbers_that_train_silently_wrong(field, value):
+    # a negative lr trains uphill, a negative decay factor flips every later
+    # step, and a NaN mu passes a plain mu <= 0 check
+    with pytest.raises(ValueError, match=field):
+        TrainConfig("sbeta_at", epochs=1, attack=small_attack(), **{field: value})
+
+
+def test_train_config_keeps_a_zero_lr_and_decay_factor():
+    cfg = TrainConfig("erm", epochs=1, lr=0.0, decay_factor=0.0)
+    assert cfg.lr == 0.0 and cfg.decay_factor == 0.0
+
+
 @pytest.mark.parametrize("frac", [0.0, 1.0, -0.2, 1.5, float("nan")])
 def test_train_config_rejects_bad_val_fraction(frac):
     with pytest.raises(ValueError, match="val_fraction"):
