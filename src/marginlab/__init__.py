@@ -8,14 +8,13 @@ from .attacks import (AttackConfig, AttackResult, beta_attack,
                       grid_oracle_attack, pgd_surrogate, pgd_surrogate_batch,
                       project, targeted_margin_ascent)
 from .data import Dataset, DatasetSpec, generate_dataset, load_idx
-from .models import (Checkpoint, ModelSpec, ParamSet, forward_logits,
-                     init_params, linear_model, load_checkpoint, predict,
-                     save_checkpoint)
-from .objectives import (MarginVector, SmoothingConfig, cross_entropy,
-                         lambda_star, lse_smoothed_margin,
+from .models import (Checkpoint, ModelSpec, forward_logits, init_params,
+                     linear_model, load_checkpoint, predict, save_checkpoint,
+                     with_grad)
+from .objectives import (cross_entropy, lambda_star, lse_smoothed_margin,
                          max_margin_over_classes, negative_margin,
                          nll_of_probs, zero_one_error)
-from .optim import LrSchedule, OptimState, lr_at, step
+from .optim import OptimState, step
 from .tensor import Tensor, affine, finite_diff_check, relu
 from .training import (EpochMetrics, SelectionReport, TrainConfig,
                        evaluate_robust, run_training, select_checkpoints)

@@ -26,12 +26,13 @@ single-sample results run the models.forward/backward kernel on per-row
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import EVAL, check_numbers, stream
-from .models import ModelSpec, ParamSet, backward, forward
+from .models import ModelSpec, backward, forward
 from .models import forward_logits  # unused: perfbench's tracer wraps this binding
 from .objectives import cross_entropy  # unused: perfbench's tracer wraps this binding
 from .objectives import (cross_entropy_rows, margin_rows, max_margin_over_classes,
@@ -201,7 +202,7 @@ def wrong_classes(y, k):
 _GROUP_ELEMS = 2 ** 15
 
 
-def targeted_ascent_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
+def targeted_ascent_batch(spec: ModelSpec, params: dict, X: np.ndarray,
                           y: np.ndarray, targets: np.ndarray, cfg: AttackConfig,
                           seed=None, live=None):
     """Projected ascent on logits[target] - logits[y] for a whole batch.
@@ -232,7 +233,7 @@ def targeted_ascent_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
     return etas.reshape(X.shape), margins.ravel()
 
 
-def targeted_margin_ascent(spec: ModelSpec, params: ParamSet, x, y: int,
+def targeted_margin_ascent(spec: ModelSpec, params: dict, x, y: int,
                            j: int, cfg: AttackConfig, seed=None):
     """(eta, margin) for a single sample and a single target class."""
     etas, margins = targeted_ascent_batch(
@@ -241,7 +242,7 @@ def targeted_margin_ascent(spec: ModelSpec, params: ParamSet, x, y: int,
     return etas[0], float(margins[0])
 
 
-def beta_attack_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
+def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
                       y: np.ndarray, cfg: AttackConfig, seed=None, live=None,
                       slots=None):
     """Per-class margin ascent for every wrong class, then the best class:
@@ -284,7 +285,7 @@ def beta_attack_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
     return best
 
 
-def beta_attack(spec: ModelSpec, params: ParamSet, x, y: int,
+def beta_attack(spec: ModelSpec, params: dict, x, y: int,
                 cfg: AttackConfig, seed=None) -> AttackResult:
     """Best-over-classes margin attack on a single sample."""
     etas, _, _ = beta_attack_batch(spec, params, np.atleast_2d(x),
@@ -295,7 +296,7 @@ def beta_attack(spec: ModelSpec, params: ParamSet, x, y: int,
 # -- surrogate baselines -------------------------------------------------------
 
 
-def fgsm_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
+def fgsm_batch(spec: ModelSpec, params: dict, X: np.ndarray,
                y: np.ndarray, cfg: AttackConfig):
     """One epsilon-sized sign step on the cross-entropy gradient; returns etas.
 
@@ -312,14 +313,14 @@ def fgsm_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
     return etas
 
 
-def fgsm(spec: ModelSpec, params: ParamSet, x, y: int,
+def fgsm(spec: ModelSpec, params: dict, x, y: int,
          cfg: AttackConfig) -> AttackResult:
     """Single epsilon-sized sign step on a single sample."""
     etas = fgsm_batch(spec, params, np.atleast_2d(x), np.array([y]), cfg)
     return _result_at(spec, params, np.asarray(x, dtype=np.float64), y, etas[0])
 
 
-def pgd_surrogate_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
+def pgd_surrogate_batch(spec: ModelSpec, params: dict, X: np.ndarray,
                         y: np.ndarray, cfg: AttackConfig, seed=None):
     """Projected ascent on cross-entropy with a random start; returns etas.
 
@@ -335,7 +336,7 @@ def pgd_surrogate_batch(spec: ModelSpec, params: ParamSet, X: np.ndarray,
     return etas
 
 
-def pgd_surrogate(spec: ModelSpec, params: ParamSet, x, y: int,
+def pgd_surrogate(spec: ModelSpec, params: dict, x, y: int,
                   cfg: AttackConfig, seed=None) -> AttackResult:
     etas = pgd_surrogate_batch(spec, params, np.atleast_2d(x), np.array([y]),
                                cfg, seed=seed)
@@ -383,7 +384,9 @@ def grid_points(x: np.ndarray, epsilon: float, resolution: int,
                 norm: str = "l_inf", box: bool = True) -> np.ndarray:
     """All feasible points of a (2*resolution+1)^d axis grid around x."""
     _check_ball(epsilon, norm)
-    if not resolution >= 1:
+    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
+        raise ValueError(f"grid resolution must be int, got {resolution!r}")
+    if resolution < 1:
         raise ValueError(f"grid resolution must be >= 1, got {resolution}")
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
@@ -412,7 +415,7 @@ def _grid_eval(spec, params, pts, y, chunk=65536):
     return logits, logits - logits[:, [int(y)]]
 
 
-def grid_oracle_attack(spec: ModelSpec, params: ParamSet, x, y: int,
+def grid_oracle_attack(spec: ModelSpec, params: dict, x, y: int,
                        epsilon: float, resolution: int, norm: str = "l_inf",
                        box: bool = True) -> AttackResult:
     """Exhaustive search: margin-best grid point plus an any-misclassified flag."""
@@ -433,7 +436,7 @@ def grid_oracle_attack(spec: ModelSpec, params: ParamSet, x, y: int,
     )
 
 
-def grid_margin_per_class(spec: ModelSpec, params: ParamSet, x, y: int,
+def grid_margin_per_class(spec: ModelSpec, params: dict, x, y: int,
                           epsilon: float, resolution: int, norm: str = "l_inf",
                           box: bool = True):
     """Best grid margin and maximizer for each wrong class separately."""
@@ -449,7 +452,7 @@ def grid_margin_per_class(spec: ModelSpec, params: ParamSet, x, y: int,
     return out
 
 
-def grid_max_cross_entropy(spec: ModelSpec, params: ParamSet, x, y: int,
+def grid_max_cross_entropy(spec: ModelSpec, params: dict, x, y: int,
                            epsilon: float, resolution: int, norm: str = "l_inf",
                            box: bool = True):
     """Grid maximizer of the cross-entropy surrogate; (eta, loss value)."""

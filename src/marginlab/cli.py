@@ -26,8 +26,7 @@ from .attacks import (AttackConfig, beta_attack, closed_form_linear_attack,
 from .data import Dataset, DatasetSpec, generate_dataset, load_idx
 from .models import ModelSpec, forward, linear_model, load_checkpoint, save_checkpoint
 from .models import forward_logits  # unused: perfbench's tracer wraps this binding
-from .objectives import (SmoothingConfig, cross_entropy,
-                         max_margin_over_classes, negative_margin,
+from .objectives import (cross_entropy, max_margin_over_classes, negative_margin,
                          nll_of_probs)
 from .reports import atomic_write, emit_report, emit_table
 from .tensor import Tensor, finite_diff_check
@@ -200,12 +199,13 @@ def cmd_oracle(args) -> int:
     if cfg["checkpoint"] is None:
         raise UsageError("oracle needs a checkpoint path in the config")
     _echo("oracle", cfg)
+    ball = AttackConfig(epsilon=cfg["epsilon"], norm=cfg["norm"], box=cfg["box"])
     ckpt = load_checkpoint(cfg["checkpoint"])
     data = _build_dataset(cfg["dataset"])
     robust, agree = 0, 0
     for x, y in zip(data.X, data.y):
-        res = grid_oracle_attack(ckpt.spec, ckpt.params, x, y, cfg["epsilon"],
-                                 cfg["resolution"], cfg["norm"], cfg["box"])
+        res = grid_oracle_attack(ckpt.spec, ckpt.params, x, y, ball.epsilon,
+                                 cfg["resolution"], ball.norm, ball.box)
         robust += not res.success
         agree += (res.margin_value > 0) == res.success
     n = len(data)
@@ -225,7 +225,7 @@ def cmd_gradcheck(args) -> int:
         e1 = finite_diff_check(lambda t: cross_entropy(t, y), Tensor(logits))
         e2 = finite_diff_check(lambda t: negative_margin(t, y, j), Tensor(logits))
         e3 = finite_diff_check(
-            lambda t: objectives.lse_smoothed_margin_t(t, y, SmoothingConfig(5.0)),
+            lambda t: objectives.lse_smoothed_margin_t(t, y, 5.0),
             Tensor(logits))
         worst = max(worst, e1, e2, e3)
     print(f"max relative gradient error over {args.trials} trials: {worst:.3e}")

@@ -1,4 +1,5 @@
-"""Linear and MLP classifiers with deterministic init and JSON checkpoints."""
+"""Linear and MLP classifiers with deterministic init and JSON checkpoints.
+Parameters are a dict of float64 arrays in layer order w0, b0, w1, b1, ..."""
 
 from __future__ import annotations
 
@@ -43,64 +44,32 @@ class ModelSpec:
         return list(zip(dims[:-1], dims[1:]))
 
 
-class ParamSet:
-    """Named, ordered float64 parameter arrays (graph leaves after with_grad)."""
-
-    def __init__(self, items):
-        self._items = []
-        seen = set()
-        for name, value in items:
-            if name in seen:
-                raise ValueError(f"duplicate parameter name {name!r}")
-            seen.add(name)
-            self._items.append((name, value if isinstance(value, Tensor)
-                                else np.asarray(value, dtype=np.float64)))
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, name):
-        for n, v in self._items:
-            if n == name:
-                return v
-        raise KeyError(name)
-
-    def with_grad(self):
-        """Copy whose arrays are wrapped as autodiff gradient leaves, the one
-        place a Tensor is built from parameters; for forward_logits only (the
-        kernel, copy and save_checkpoint take plain arrays)."""
-        return ParamSet((n, Tensor(v, requires_grad=True)) for n, v in self._items)
-
-    def replaced(self, updates: dict):
-        """Copy with some parameters swapped for new arrays; the rest are shared."""
-        return ParamSet((n, updates.get(n, v)) for n, v in self._items)
-
-    def copy(self):
-        return ParamSet((n, v.copy()) for n, v in self._items)
+def with_grad(params: dict) -> dict:
+    """Copy whose arrays are wrapped as autodiff gradient leaves, the one
+    place a Tensor is built from parameters; for forward_logits only (the
+    kernel and save_checkpoint take plain arrays)."""
+    return {name: Tensor(v, requires_grad=True) for name, v in params.items()}
 
 
 @dataclass
 class Checkpoint:
     spec: ModelSpec
-    params: ParamSet
+    params: dict
     meta: dict = field(default_factory=dict)
 
 
-def init_params(spec: ModelSpec, seed: int) -> ParamSet:
+def init_params(spec: ModelSpec, seed: int) -> dict:
     """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights, zero biases."""
     rng = np.random.default_rng(seed)
-    items = []
+    params = {}
     for i, (fan_in, fan_out) in enumerate(spec.layer_dims()):
         bound = 1.0 / np.sqrt(fan_in)
-        items.append((f"w{i}", rng.uniform(-bound, bound, (fan_in, fan_out))))
-        items.append((f"b{i}", np.zeros(fan_out)))
-    return ParamSet(items)
+        params[f"w{i}"] = rng.uniform(-bound, bound, (fan_in, fan_out))
+        params[f"b{i}"] = np.zeros(fan_out)
+    return params
 
 
-def forward_logits(spec: ModelSpec, params: ParamSet, x) -> Tensor:
+def forward_logits(spec: ModelSpec, params: dict, x) -> Tensor:
     """Logits for a batch x[n,d] on the autodiff graph, the reference for
     forward/backward (a 1-D x is treated as a single row)."""
     x = x if isinstance(x, Tensor) else Tensor(x)
@@ -117,7 +86,7 @@ def forward_logits(spec: ModelSpec, params: ParamSet, x) -> Tensor:
     return out
 
 
-def forward(spec: ModelSpec, params: ParamSet, x):
+def forward(spec: ModelSpec, params: dict, x):
     """(logits, cache: each layer's input and hidden ReLU mask) for a batch
     x[n,d] or a stack x[m,n,d], with forward_logits' ops in plain numpy."""
     out, acts, masks = np.asarray(x, dtype=np.float64), [], []
@@ -133,7 +102,7 @@ def forward(spec: ModelSpec, params: ParamSet, x):
     return out, (acts, masks)
 
 
-def backward(params: ParamSet, cache, dlogits, wrt="input"):
+def backward(params: dict, cache, dlogits, wrt="input"):
     """The gradient at the input x of a forward cache, or {name: gradient} for
     wrt="params" (x[n,d] only), with the graph's ops in the graph's order."""
     acts, masks = cache
@@ -154,8 +123,7 @@ def linear_model(weight, bias) -> tuple:
     weight = np.asarray(weight, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     spec = ModelSpec("linear", weight.shape[0], weight.shape[1])
-    params = ParamSet([("w0", weight), ("b0", bias)])
-    return spec, params
+    return spec, {"w0": weight, "b0": bias}
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
@@ -163,7 +131,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         "spec": asdict(ckpt.spec),
         "params": [
             {"name": n, "shape": list(v.shape), "data": v.ravel().tolist()}
-            for n, v in ckpt.params
+            for n, v in ckpt.params.items()
         ],
         "meta": ckpt.meta,
     }
@@ -199,13 +167,13 @@ def load_checkpoint(path: str) -> Checkpoint:
                 f"param {entry['name']!r}: data length {arr.size} does not "
                 f"match shape {entry['shape']}")
         items.append((entry["name"], arr.reshape(entry["shape"])))
-    expected = [(name, v.shape) for name, v in init_params(spec, 0)]
+    expected = [(name, v.shape) for name, v in init_params(spec, 0).items()]
     found = [(name, arr.shape) for name, arr in items]
     if found != expected:
         raise CheckpointError(f"params {found} do not match the spec's {expected}")
-    return Checkpoint(spec, ParamSet(items), dict(doc["meta"]))
+    return Checkpoint(spec, dict(items), dict(doc["meta"]))
 
 
-def predict(spec: ModelSpec, params: ParamSet, x) -> np.ndarray:
+def predict(spec: ModelSpec, params: dict, x) -> np.ndarray:
     """argmax class per row, lowest index on ties."""
     return np.argmax(forward(spec, params, np.atleast_2d(x))[0], axis=1)

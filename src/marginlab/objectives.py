@@ -3,35 +3,12 @@ the smoothed (log-sum-exp) margin aggregate and its closed-form weights."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import (Tensor, as_tensor, logsumexp, reshape, sub, take,
                      take_per_row, tsum, mul)
 
 _LN2 = float(np.log(2.0))
-
-
-@dataclass(frozen=True)
-class SmoothingConfig:
-    mu: float = 1.0
-
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("temperature mu must be positive")
-
-
-@dataclass(frozen=True)
-class MarginVector:
-    """Per-class logit gaps against the true class; values[y] is 0."""
-    values: np.ndarray
-    y: int
-
-    @staticmethod
-    def from_logits(logits, y: int) -> "MarginVector":
-        logits = np.asarray(logits, dtype=np.float64)
-        return MarginVector(logits - logits[y], int(y))
 
 
 def cross_entropy(logits, y, base="e") -> Tensor:
@@ -127,31 +104,44 @@ def max_margin_over_classes(logits, y: int):
     return j_star, float(margins[j_star])
 
 
-def lse_smoothed_margin(margins: MarginVector, cfg: SmoothingConfig) -> float:
-    """(1/mu) * log sum_{j != y} exp(mu * m_j), stabilized."""
-    m = np.delete(margins.values, margins.y) * cfg.mu
+def _check_mu(mu):
+    if not mu > 0:  # also rejects NaN
+        raise ValueError(f"temperature mu must be > 0, got {mu}")
+
+
+def lse_smoothed_margin(logits, y: int, mu: float) -> float:
+    """(1/mu) * log sum_{j != y} exp(mu * m_j) over the margins
+    m = logits - logits[y], stabilized; margins in place of logits give the
+    same value."""
+    _check_mu(mu)
+    logits = np.asarray(logits, dtype=np.float64)
+    m = np.delete(logits - logits[int(y)], int(y)) * mu
     c = m.max()
-    return float((c + np.log(np.exp(m - c).sum())) / cfg.mu)
+    return float((c + np.log(np.exp(m - c).sum())) / mu)
 
 
-def lse_smoothed_margin_t(logits, y: int, cfg: SmoothingConfig) -> Tensor:
+def lse_smoothed_margin_t(logits, y: int, mu: float) -> Tensor:
     """Differentiable version, evaluated from raw logits."""
+    _check_mu(mu)
     logits = as_tensor(logits)
     k = logits.data.shape[0]
     others = [j for j in range(k) if j != int(y)]
     m = sub(take(logits, others), tsum(take(logits, [int(y)])))
-    scaled = reshape(mul(m, cfg.mu), (1, len(others)))
-    return mul(tsum(logsumexp(scaled, axis=1)), 1.0 / cfg.mu)
+    scaled = reshape(mul(m, mu), (1, len(others)))
+    return mul(tsum(logsumexp(scaled, axis=1)), 1.0 / mu)
 
 
-def lambda_star(margins: MarginVector, cfg: SmoothingConfig) -> np.ndarray:
-    """Softmax weights exp(mu*m_j)/sum over j != y; exactly 0 at y."""
-    k = margins.values.shape[0]
+def lambda_star(logits, y: int, mu: float) -> np.ndarray:
+    """Softmax weights exp(mu*m_j)/sum over j != y of the margins
+    m = logits - logits[y]; exactly 0 at y."""
+    _check_mu(mu)
+    logits = np.asarray(logits, dtype=np.float64)
+    k = logits.shape[0]
     if k < 2:
         raise ValueError("need at least two classes")
-    m = margins.values * cfg.mu
+    m = (logits - logits[int(y)]) * mu
     mask = np.ones(k, dtype=bool)
-    mask[margins.y] = False
+    mask[int(y)] = False
     c = m[mask].max()
     w = np.zeros(k)
     w[mask] = np.exp(m[mask] - c)

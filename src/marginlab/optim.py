@@ -1,5 +1,5 @@
 """First-order update rules shared by attacks and training: SGD, sign-SGD,
-RMSprop, Adam, plus a step-decay learning-rate schedule."""
+RMSprop and Adam."""
 
 from __future__ import annotations
 
@@ -8,16 +8,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 KINDS = ("sgd", "sign_sgd", "rmsprop", "adam")
+RHO = 0.99                  # RMSprop second-moment decay
+BETA1, BETA2 = 0.9, 0.999   # Adam moment decays
+EPS = 1e-8
 
 
 @dataclass
 class OptimState:
     kind: str
     lr: float
-    rho: float = 0.99          # RMSprop second-moment decay
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     slots: dict = field(default_factory=dict)
 
@@ -49,37 +48,17 @@ def step(state: OptimState, var: np.ndarray, grad: np.ndarray,
         return var - state.lr * np.sign(grad)
     if state.kind == "rmsprop":
         v = state.slots.get("v", np.zeros_like(var))
-        v = state.rho * v + (1.0 - state.rho) * grad * grad
+        v = RHO * v + (1.0 - RHO) * grad * grad
         state.slots["v"] = v
-        return var - state.lr * grad / (np.sqrt(v) + state.eps)
+        return var - state.lr * grad / (np.sqrt(v) + EPS)
     # adam
     m = state.slots.get("m", np.zeros_like(var))
     v = state.slots.get("v", np.zeros_like(var))
-    m = state.beta1 * m + (1.0 - state.beta1) * grad
-    v = state.beta2 * v + (1.0 - state.beta2) * grad * grad
+    m = BETA1 * m + (1.0 - BETA1) * grad
+    v = BETA2 * v + (1.0 - BETA2) * grad * grad
     state.slots["m"] = m
     state.slots["v"] = v
     t = state.step_count
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    return var - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    initial: float
-    decay_epochs: tuple = ()
-    factor: float = 0.1
-
-    def __post_init__(self):
-        epochs = tuple(self.decay_epochs)
-        if list(epochs) != sorted(set(epochs)):
-            raise ValueError("decay epochs must be strictly increasing")
-        object.__setattr__(self, "decay_epochs", epochs)
-
-
-def lr_at(schedule: LrSchedule, epoch: int) -> float:
-    if epoch < 0:
-        raise ValueError("epoch must be >= 0")
-    n = sum(1 for e in schedule.decay_epochs if e <= epoch)
-    return schedule.initial * schedule.factor ** n
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    return var - state.lr * m_hat / (np.sqrt(v_hat) + EPS)

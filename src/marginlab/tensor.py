@@ -5,7 +5,7 @@ remembers its parents and a closure accumulating gradients into them.  A
 single backward() traversal in reverse topological order produces gradients
 for every leaf with requires_grad=True.  Tensors are treated as immutable
 once created.  The graph is the reference for the plain-numpy kernel in
-models; parameters become leaves only through ParamSet.with_grad.
+models; parameters become leaves only through models.with_grad.
 """
 
 from __future__ import annotations

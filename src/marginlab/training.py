@@ -14,10 +14,10 @@ from .attacks import (AttackConfig, beta_attack_batch, fgsm_batch, grid_oracle_a
 from .attacks import targeted_ascent_batch  # unused: perfbench's tracer wraps this binding
 from .data import (MONITOR, SHUFFLE, TRAIN, Dataset, check_numbers, stream,
                    train_val_split)
-from .models import (Checkpoint, ModelSpec, ParamSet, backward, forward, forward_logits,
-                     init_params, predict)
+from .models import (Checkpoint, ModelSpec, backward, forward, forward_logits,
+                     init_params, predict, with_grad)
 from .objectives import cross_entropy, cross_entropy_rows
-from .optim import KINDS, LrSchedule, OptimState, lr_at
+from .optim import KINDS, OptimState
 from .optim import step as opt_step
 from .tensor import Tensor, sub, take_per_row, texp, tsum, mul, div
 
@@ -52,6 +52,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        decay = list(self.decay_epochs)
+        if decay != sorted(set(decay)) or any(e < 0 for e in decay):
+            raise ValueError(f"decay epochs must be strictly increasing and >= 0, "
+                             f"got {decay}")
         if self.algorithm == "sbeta_at" and not self.mu > 0:  # also rejects NaN
             raise ValueError(f"sbeta_at needs mu > 0, got {self.mu}")
         if self.attack is None and self.algorithm != "erm":
@@ -88,7 +92,7 @@ class TrainingRun:
     selection: SelectionReport
 
 
-def accuracy(spec: ModelSpec, params: ParamSet, data: Dataset) -> float:
+def accuracy(spec: ModelSpec, params: dict, data: Dataset) -> float:
     if len(data) == 0:
         return float("nan")
     return float(np.mean(predict(spec, params, data.X) == data.y))
@@ -101,7 +105,7 @@ def _check_labels(spec: ModelSpec, name: str, data: Dataset):
                          f"outside the model's classes 0..{spec.class_count - 1}")
 
 
-def evaluate_robust(spec: ModelSpec, params: ParamSet, data: Dataset,
+def evaluate_robust(spec: ModelSpec, params: dict, data: Dataset,
                     attack_kind: str, cfg: AttackConfig, resolution: int = 41,
                     seed: int = None) -> dict:
     """Clean accuracy and the fraction of rows correct both at x and at the
@@ -142,11 +146,11 @@ def _descend(params, optimizers, lr, loss_of):
     every parameter moves with its own optimizer; returns (new params, loss)."""
     loss, grads = loss_of(params)
     updates = {}
-    for name, value in params:
+    for name, value in params.items():
         opt = optimizers[name]
         opt.lr = lr
         updates[name] = opt_step(opt, value, grads[name], "descend")
-    return params.replaced(updates), float(loss)
+    return updates, float(loss)
 
 
 def _mean_cross_entropy(spec, X, y):
@@ -161,10 +165,10 @@ def _mean_cross_entropy(spec, X, y):
 def _on_graph(loss_t):
     """loss_of for a scalar graph loss_t(params) -> Tensor, by backpropagation."""
     def loss_of(params):
-        params = params.with_grad()
+        params = with_grad(params)
         loss = loss_t(params)
         loss.backward()
-        return loss.item(), {name: tensor.grad for name, tensor in params}
+        return loss.item(), {name: tensor.grad for name, tensor in params.items()}
     return loss_of
 
 
@@ -193,7 +197,7 @@ def sbeta_weighted_loss(spec, params, X, y, slot_etas, wrong, mu) -> Tensor:
 
 def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
                  test_data: Dataset = None, hook=None,
-                 init: ParamSet = None) -> TrainingRun:
+                 init: dict = None) -> TrainingRun:
     """Train per the configured algorithm; returns per-epoch checkpoints,
     metrics, and the best/last selection.
 
@@ -213,16 +217,16 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
     if len(tr) == 0 or len(val) == 0:
         raise ValueError(f"val_fraction {cfg.val_fraction} of {len(train_data)} "
                          "rows leaves the train or validation split empty")
-    schedule = LrSchedule(cfg.lr, cfg.decay_epochs, cfg.decay_factor)
-    params = init.copy() if init is not None else init_params(spec, cfg.seed)
-    optimizers = {name: OptimState(cfg.optimizer, cfg.lr) for name, _ in params}
+    params = ({name: v.copy() for name, v in init.items()} if init is not None
+              else init_params(spec, cfg.seed))
+    optimizers = {name: OptimState(cfg.optimizer, cfg.lr) for name in params}
     atk = cfg.attack or AttackConfig(epsilon=0.0)  # erm without an attack
     attacked = cfg.algorithm != "erm" and atk.epsilon > 0
 
     checkpoints, metrics = [], []
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        lr = lr_at(schedule, epoch - 1)
+        lr = cfg.lr * cfg.decay_factor ** sum(1 for e in cfg.decay_epochs if e < epoch)
         order = stream(cfg.seed, SHUFFLE, epoch).permutation(len(tr))
         epoch_loss = 0.0
         for step_i, lo in enumerate(range(0, len(tr), cfg.batch_size)):
@@ -251,7 +255,7 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
                 raise FloatingPointError(f"non-finite defender loss at epoch {epoch}, "
                                          f"step {step_i}")
             epoch_loss += loss
-        if not all(np.isfinite(v).all() for _, v in params):
+        if not all(np.isfinite(v).all() for v in params.values()):
             raise FloatingPointError(f"non-finite parameters at epoch {epoch}, "
                                      f"step {step_i}")
 
@@ -267,7 +271,7 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
             seconds=time.perf_counter() - t0,
         )
         metrics.append(row)
-        checkpoints.append(Checkpoint(spec, params.copy(), {
+        checkpoints.append(Checkpoint(spec, {n: v.copy() for n, v in params.items()}, {
             "algorithm": cfg.algorithm, "epoch": epoch, "seed": cfg.seed}))
 
     selection = select_checkpoints(metrics, checkpoints)

@@ -18,10 +18,10 @@ from marginlab.attacks import (AttackConfig, closed_form_linear_attack,
 from marginlab.cli import main
 from marginlab.data import DatasetSpec, generate_dataset
 from marginlab.models import (ModelSpec, backward, forward, forward_logits,
-                              init_params, linear_model)
-from marginlab.objectives import (MarginVector, SmoothingConfig, cross_entropy,
-                                  cross_entropy_rows, entropy, lambda_star,
-                                  lse_smoothed_margin, lse_smoothed_margin_t,
+                              init_params, linear_model, with_grad)
+from marginlab.objectives import (cross_entropy, cross_entropy_rows, entropy,
+                                  lambda_star, lse_smoothed_margin,
+                                  lse_smoothed_margin_t,
                                   margin_rows, max_margin_over_classes,
                                   negative_margin, nll_of_probs, zero_one_error)
 from marginlab.tensor import Tensor, finite_diff_check
@@ -111,8 +111,8 @@ def _central_diff(fn, point, h=1e-6):
 
 
 def _numeric_param_grads(fn, params, h=1e-6):
-    return {name: _central_diff(lambda v: fn(params.replaced({name: v})), value, h)
-            for name, value in params}
+    return {name: _central_diff(lambda v: fn({**params, name: v}), value, h)
+            for name, value in params.items()}
 
 
 def _relative_error(analytic, numeric):
@@ -127,7 +127,7 @@ def test_kernel_gradients_match_finite_differences(hidden):
     spec = ModelSpec("mlp", d, k, hidden) if hidden else ModelSpec("linear", d, k)
     rng = np.random.default_rng(11)
     params = init_params(spec, 0)
-    params = params.replaced({n: rng.normal(size=v.shape) for n, v in params})
+    params = {n: rng.normal(size=v.shape) for n, v in params.items()}
     worst = 0.0
     for shape in ((6, d), (3, 6, d)):  # a batch and a slot stack
         x = rng.normal(size=shape)
@@ -182,7 +182,7 @@ def test_criterion_4_gradients():
                     finite_diff_check(lambda t: negative_margin(t, y, j),
                                       Tensor(logits)),
                     finite_diff_check(
-                        lambda t: lse_smoothed_margin_t(t, y, SmoothingConfig(5.0)),
+                        lambda t: lse_smoothed_margin_t(t, y, 5.0),
                         Tensor(logits)))
     assert worst < 1e-5
 
@@ -197,13 +197,13 @@ def test_criterion_4_gradients():
         slot_etas = [rng.normal(size=(2, 2)) * 0.05 for _ in range(2)]
         mu = float(rng.uniform(0.5, 20.0))
 
-        params_g = params.with_grad()
+        params_g = with_grad(params)
         loss = sbeta_weighted_loss(spec, params_g, X, y, slot_etas, wrong, mu)
         loss.backward()
         numeric = _numeric_param_grads(
-            lambda p: sbeta_weighted_loss(spec, p.with_grad(), X, y, slot_etas,
+            lambda p: sbeta_weighted_loss(spec, with_grad(p), X, y, slot_etas,
                                           wrong, mu).item(), params)
-        for name, tensor in params_g:
+        for name, tensor in params_g.items():
             analytic = tensor.grad if tensor.grad is not None else 0.0
             denom = max(1.0, float(np.max(np.abs(analytic))))
             worst = max(worst, float(np.max(np.abs(numeric[name] - analytic)))
@@ -214,7 +214,7 @@ def test_criterion_4_gradients():
                 def val(delta):
                     etas = [e.copy() for e in slot_etas]
                     etas[0][idx] += delta
-                    return sbeta_weighted_loss(spec, params.with_grad(), X, y,
+                    return sbeta_weighted_loss(spec, with_grad(params), X, y,
                                                etas, wrong, mu).item()
                 num = (val(h) - val(-h)) / (2 * h)
                 # rebuild with tensor etas to read the analytic input gradient
@@ -232,7 +232,7 @@ def _sbeta_loss_with_eta_grad(spec, params, X, y, eta_tensors, wrong, mu):
     n = X.shape[0]
     margins, ces = [], []
     for s, eta in enumerate(eta_tensors):
-        logits = forward_logits(spec, params.with_grad(),
+        logits = forward_logits(spec, with_grad(params),
                                 add(Tensor(np.asarray(X, dtype=np.float64)), eta))
         m = sub(take_per_row(logits, wrong[:, s]), take_per_row(logits, y))
         margins.append(m)
@@ -258,20 +258,20 @@ def test_criterion_5_invariants():
         assert cross_entropy(logits, y, base=2).item() >= zero_one_error(logits, y)
     for _ in range(1000):  # (b) smoothed-margin sandwich
         k = int(rng.integers(2, 9))
-        mv = MarginVector.from_logits(rng.normal(size=k), int(rng.integers(k)))
-        top = max(np.delete(mv.values, mv.y))
+        logits, y = rng.normal(size=k), int(rng.integers(k))
+        top = max(np.delete(logits - logits[y], y))
         for mu in (1.0, 10.0, 100.0):
-            v = lse_smoothed_margin(mv, SmoothingConfig(mu))
+            v = lse_smoothed_margin(logits, y, mu)
             assert top - 1e-12 <= v <= top + np.log(k - 1) / mu + 1e-12
     for _ in range(1000):  # (c) weight simplex membership + duality identity
         k = int(rng.integers(2, 9))
-        mv = MarginVector.from_logits(rng.normal(size=k), int(rng.integers(k)))
-        cfg = SmoothingConfig(float(rng.uniform(0.2, 50.0)))
-        w = lambda_star(mv, cfg)
-        assert w.min() >= 0 and w[mv.y] == 0.0
+        logits, y = rng.normal(size=k), int(rng.integers(k))
+        mu = float(rng.uniform(0.2, 50.0))
+        w = lambda_star(logits, y, mu)
+        assert w.min() >= 0 and w[y] == 0.0
         assert abs(w.sum() - 1.0) < 1e-12
-        lhs = float(w @ mv.values) + entropy(w) / cfg.mu
-        assert abs(lhs - lse_smoothed_margin(mv, cfg)) < 1e-9
+        lhs = float(w @ (logits - logits[y])) + entropy(w) / mu
+        assert abs(lhs - lse_smoothed_margin(logits, y, mu)) < 1e-9
     for _ in range(1000):  # (d) projection feasibility and idempotence
         norm = "l_inf" if rng.random() < 0.5 else "l2"
         eps = float(rng.uniform(0.01, 0.5))

@@ -320,7 +320,7 @@ def test_beta_slots_are_the_serial_slot_ascents(n, hidden, k):
     spec = ModelSpec("mlp" if hidden else "linear", 40, k, hidden)
     params = init_params(spec, 3)
     last = f"w{len(hidden)}"
-    tied = params.replaced({last: params[last][:, [*range(k - 1), k - 2]]})
+    tied = {**params, last: params[last][:, [*range(k - 1), k - 2]]}
     X, y = rng.uniform(size=(n, 40)), rng.integers(k, size=n)
     cfg = AttackConfig(epsilon=0.05, norm="l2", steps=3, seed=4)
     for params, cfg in ((params, cfg), (tied, replace(cfg, steps=0))):

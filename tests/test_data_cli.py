@@ -205,6 +205,14 @@ BLOCK_3 = {"kind": "gaussian_blobs", "n": 30, "class_count": 3, "noise": 0.08,
                  "resolution must be >= 1, got 0", id="eval-grid-resolution"),
     pytest.param("oracle", {"resolution": -3}, "resolution must be >= 1, got -3",
                  id="oracle-resolution"),
+    pytest.param("oracle", {"box": "false"}, "box must be bool, got 'false'",
+                 id="oracle-box-type"),
+    pytest.param("oracle", {"resolution": True}, "resolution must be int, got True",
+                 id="oracle-resolution-bool"),
+    pytest.param("oracle", {"epsilon": "0.1"}, "epsilon must be float, got '0.1'",
+                 id="oracle-epsilon-type"),
+    pytest.param("eval", {"attacks": ["grid_oracle"], "grid_resolution": 2.5},
+                 "resolution must be int, got 2.5", id="eval-grid-resolution-type"),
 ])
 def test_cli_rejects_invalid_config_values(tmp_path, capsys, command, cfg,
                                            rejected):

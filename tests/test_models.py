@@ -5,7 +5,7 @@ import pytest
 
 from marginlab.models import (Checkpoint, CheckpointError, ModelSpec, backward,
                               forward, forward_logits, init_params, linear_model,
-                              load_checkpoint, predict, save_checkpoint)
+                              load_checkpoint, predict, save_checkpoint, with_grad)
 from marginlab.objectives import cross_entropy, cross_entropy_rows, margin_rows
 from marginlab.tensor import Tensor, mul, sub, take_per_row, tsum
 from marginlab.training import _mean_cross_entropy
@@ -28,7 +28,7 @@ def test_forward_counterexample_points():
 def test_zero_parameter_mlp_gives_zero_logits():
     spec = ModelSpec("mlp", 2, 3, (4,))
     params = init_params(spec, 0)
-    zeroed = params.replaced({n: np.zeros_like(v) for n, v in params})
+    zeroed = {n: np.zeros_like(v) for n, v in params.items()}
     out = forward_logits(spec, zeroed, np.random.default_rng(0).uniform(size=(5, 2)))
     assert np.allclose(out.data, 0.0)
 
@@ -36,11 +36,11 @@ def test_zero_parameter_mlp_gives_zero_logits():
 def test_init_deterministic_per_seed():
     spec = ModelSpec("mlp", 3, 2, (5,))
     a, b = init_params(spec, 42), init_params(spec, 42)
-    for (na, va), (nb, vb) in zip(a, b):
+    for (na, va), (nb, vb) in zip(a.items(), b.items()):
         assert na == nb and np.array_equal(va, vb)
     c = init_params(spec, 43)
     assert any(not np.array_equal(va, vc)
-               for (_, va), (_, vc) in zip(a, c))
+               for (_, va), (_, vc) in zip(a.items(), c.items()))
 
 
 def test_params_are_arrays_and_only_with_grad_builds_leaves(tmp_path):
@@ -48,25 +48,25 @@ def test_params_are_arrays_and_only_with_grad_builds_leaves(tmp_path):
     params = init_params(spec, 0)
     path = str(tmp_path / "ckpt.json")
     save_checkpoint(path, Checkpoint(spec, params))
-    replaced = params.replaced({"b0": np.ones(4)})
-    copied = params.copy()
+    replaced = {**params, "b0": np.ones(4)}
+    copied = {n: v.copy() for n, v in params.items()}
     for ps in (params, load_checkpoint(path).params, replaced, copied):
-        assert all(type(v) is np.ndarray and v.dtype == np.float64 for _, v in ps)
+        assert all(type(v) is np.ndarray and v.dtype == np.float64 for v in ps.values())
     assert replaced["w0"] is params["w0"] and copied["w0"] is not params["w0"]
 
-    before = [(n, v, v.copy()) for n, v in params]
-    leaves = params.with_grad()
+    before = [(n, v, v.copy()) for n, v in params.items()]
+    leaves = with_grad(params)
     assert all(isinstance(t, Tensor) and t.requires_grad and not t._parents
-               for _, t in leaves)
+               for t in leaves.values())
     tsum(forward_logits(spec, leaves, np.ones((2, 2)))).backward()
-    assert all(t.grad is not None for _, t in leaves)
-    for (n, v), (name, array, values) in zip(params, before):
+    assert all(t.grad is not None for t in leaves.values())
+    for (n, v), (name, array, values) in zip(params.items(), before):
         assert n == name and v is array and np.array_equal(v, values)
 
 
 def test_linear_param_count():
     params = init_params(ModelSpec("linear", 2, 3), 0)
-    assert sum(v.size for _, v in params) == 9
+    assert sum(v.size for v in params.values()) == 9
 
 
 def test_spec_validation():
@@ -194,10 +194,10 @@ def test_kernel_matches_the_graph_bit_for_bit(hidden, shape):
     # the defender's mean cross-entropy and its parameter gradients
     x, yb = pts.reshape(-1, n, d)[0], y.reshape(-1, n)[0]
     loss, grads = _mean_cross_entropy(spec, x, yb)(params)
-    leaves = params.with_grad()
+    leaves = with_grad(params)
     graph_loss = mul(tsum(cross_entropy(forward_logits(spec, leaves, x), yb)), 1.0 / n)
     graph_loss.backward()
     assert loss == graph_loss.item()
-    assert sorted(grads) == sorted(name for name, _ in leaves)
-    for name, leaf in leaves:
+    assert sorted(grads) == sorted(leaves)
+    for name, leaf in leaves.items():
         assert np.array_equal(grads[name], leaf.grad)

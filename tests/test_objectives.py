@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from marginlab.objectives import (MarginVector, SmoothingConfig, cross_entropy,
-                                  entropy, lambda_star, lse_smoothed_margin,
-                                  lse_smoothed_margin_t,
+from marginlab.objectives import (cross_entropy, entropy, lambda_star,
+                                  lse_smoothed_margin, lse_smoothed_margin_t,
                                   max_margin_over_classes, negative_margin,
                                   nll_of_probs, zero_one_error)
 from marginlab.tensor import Tensor
@@ -52,16 +51,16 @@ def test_max_margin_tie_breaks():
 
 
 def test_lse_single_wrong_class_is_exact():
-    mv = MarginVector(np.array([0.0, -0.37]), 0)
+    margins = np.array([0.0, -0.37])
     for mu in (0.5, 1.0, 50.0):
-        assert lse_smoothed_margin(mv, SmoothingConfig(mu)) == pytest.approx(-0.37)
+        assert lse_smoothed_margin(margins, 0, mu) == pytest.approx(-0.37)
 
 
 def test_lse_equal_margins():
-    mv = MarginVector(np.array([0.0, 0.0, 0.0]), 0)
-    assert lse_smoothed_margin(mv, SmoothingConfig(1.0)) == pytest.approx(np.log(2.0))
-    mv2 = MarginVector(np.array([0.0, -0.2, -0.2]), 0)
-    assert lse_smoothed_margin(mv2, SmoothingConfig(10.0)) == pytest.approx(
+    margins = np.array([0.0, 0.0, 0.0])
+    assert lse_smoothed_margin(margins, 0, 1.0) == pytest.approx(np.log(2.0))
+    margins2 = np.array([0.0, -0.2, -0.2])
+    assert lse_smoothed_margin(margins2, 0, 10.0) == pytest.approx(
         -0.2 + np.log(2.0) / 10.0)
 
 
@@ -70,24 +69,29 @@ def test_lse_tensor_version_matches_scalar():
     for _ in range(20):
         logits = rng.normal(size=5)
         y = int(rng.integers(5))
-        mv = MarginVector.from_logits(logits, y)
-        cfg = SmoothingConfig(float(rng.uniform(0.5, 30.0)))
-        assert lse_smoothed_margin_t(Tensor(logits), y, cfg).item() == \
-            pytest.approx(lse_smoothed_margin(mv, cfg), abs=1e-12)
+        mu = float(rng.uniform(0.5, 30.0))
+        assert lse_smoothed_margin_t(Tensor(logits), y, mu).item() == \
+            pytest.approx(lse_smoothed_margin(logits, y, mu), abs=1e-12)
 
 
 def test_lambda_star_cases():
-    cfg = SmoothingConfig(1.0)
-    w = lambda_star(MarginVector(np.array([0.0, 0.3, 0.3]), 0), cfg)
+    w = lambda_star(np.array([0.0, 0.3, 0.3]), 0, 1.0)
     assert np.allclose(w, [0.0, 0.5, 0.5])
     # strong temperature saturates onto the unique best class
-    w = lambda_star(MarginVector(np.array([0.0, 0.1, 0.2]), 0),
-                    SmoothingConfig(1000.0))
+    w = lambda_star(np.array([0.0, 0.1, 0.2]), 0, 1000.0)
     assert w[2] >= 0.999
-    w = lambda_star(MarginVector(np.array([0.0, -1.3]), 0), SmoothingConfig(7.0))
+    w = lambda_star(np.array([0.0, -1.3]), 0, 7.0)
     assert np.allclose(w, [0.0, 1.0])
-    with pytest.raises(ValueError):
-        SmoothingConfig(0.0)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, float("nan")])
+def test_smoothed_margin_rejects_a_mu_that_is_not_positive(mu):
+    logits = np.array([0.0, 0.3, -0.2])
+    for closed_form in (lse_smoothed_margin, lambda_star):
+        with pytest.raises(ValueError, match="mu"):
+            closed_form(logits, 0, mu)
+    with pytest.raises(ValueError, match="mu"):
+        lse_smoothed_margin_t(Tensor(logits), 0, mu)
 
 
 def test_margin_error_equivalence_probes():
@@ -118,10 +122,9 @@ def test_lse_sandwich():
         k = int(rng.integers(2, 8))
         logits = rng.normal(size=k)
         y = int(rng.integers(k))
-        mv = MarginVector.from_logits(logits, y)
-        top = max(np.delete(mv.values, y))
+        top = max(np.delete(logits - logits[y], y))
         for mu in (1.0, 10.0, 100.0):
-            lse = lse_smoothed_margin(mv, SmoothingConfig(mu))
+            lse = lse_smoothed_margin(logits, y, mu)
             assert top - 1e-12 <= lse <= top + np.log(k - 1) / mu + 1e-12
 
 
@@ -129,13 +132,13 @@ def test_lambda_star_duality_identity():
     rng = np.random.default_rng(4)
     for _ in range(1000):
         k = int(rng.integers(2, 8))
-        mv = MarginVector.from_logits(rng.normal(size=k), int(rng.integers(k)))
-        cfg = SmoothingConfig(float(rng.uniform(0.2, 50.0)))
-        w = lambda_star(mv, cfg)
-        assert w.min() >= 0 and w[mv.y] == 0.0
+        logits, y = rng.normal(size=k), int(rng.integers(k))
+        mu = float(rng.uniform(0.2, 50.0))
+        w = lambda_star(logits, y, mu)
+        assert w.min() >= 0 and w[y] == 0.0
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        lhs = float(w @ mv.values) + entropy(w) / cfg.mu
-        assert abs(lhs - lse_smoothed_margin(mv, cfg)) < 1e-9
+        lhs = float(w @ (logits - logits[y])) + entropy(w) / mu
+        assert abs(lhs - lse_smoothed_margin(logits, y, mu)) < 1e-9
 
 
 def test_surrogate_vs_margin_ranking_example():

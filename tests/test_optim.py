@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from marginlab.optim import LrSchedule, OptimState, lr_at, step
+from marginlab import training
+from marginlab.data import Dataset
+from marginlab.models import ModelSpec
+from marginlab.optim import OptimState, step
+from marginlab.training import TrainConfig, run_training
 
 
 def test_sgd_descend():
@@ -75,12 +79,21 @@ def test_state_evolution_deterministic():
     assert np.array_equal(run(), run())
 
 
-def test_lr_schedule():
-    sched = LrSchedule(0.1, (100, 150), 0.1)
-    assert lr_at(sched, 99) == pytest.approx(0.1)
-    assert lr_at(sched, 100) == pytest.approx(0.01)
-    assert lr_at(sched, 200) == pytest.approx(0.001)
+def test_lr_schedule(monkeypatch):
+    # epoch e (from 0) trains at lr * factor ** (decay epochs <= e)
+    lrs = []
+
+    def recording_step(state, var, grad, direction):
+        lrs.append(state.lr)
+        return step(state, var, grad, direction)
+    monkeypatch.setattr(training, "opt_step", recording_step)
+    data = Dataset(np.random.default_rng(0).uniform(size=(10, 2)), np.arange(10) % 3)
+    cfg = TrainConfig("erm", epochs=3, lr=0.1, decay_epochs=(1, 2), decay_factor=0.1)
+    run_training(ModelSpec("linear", 2, 3), data, cfg)
+    rates = list(dict.fromkeys(lrs))  # the distinct rates, in order
+    assert rates[0] == pytest.approx(0.1)
+    assert rates[1] == pytest.approx(0.01)
+    assert rates[2] == pytest.approx(0.001)
+    assert len(rates) == 3
     with pytest.raises(ValueError):
-        LrSchedule(0.1, (150, 100))
-    with pytest.raises(ValueError):
-        lr_at(sched, -1)
+        TrainConfig("erm", epochs=1, decay_epochs=(150, 100))

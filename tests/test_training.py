@@ -118,8 +118,8 @@ def test_checkpoints_keep_their_epoch_params(algorithm):
     cfg = dict(lr=0.2, optimizer="adam", seed=5, attack=small_attack())
     three = run_training(spec, data, TrainConfig(algorithm, epochs=3, **cfg))
     one = run_training(spec, data, TrainConfig(algorithm, epochs=1, **cfg))
-    for (na, va), (nb, vb) in zip(three.checkpoints[0].params,
-                                  one.checkpoints[0].params):
+    for (na, va), (nb, vb) in zip(three.checkpoints[0].params.items(),
+                                  one.checkpoints[0].params.items()):
         assert na == nb and va.tobytes() == vb.tobytes()
     assert three.checkpoints[0].params["w0"].tobytes() != \
         three.checkpoints[-1].params["w0"].tobytes()
@@ -321,7 +321,7 @@ def test_run_training_stops_on_a_non_finite_parameter():
     # a -inf bias behind a ReLU leaves every loss finite, so only the
     # parameter check sees it
     spec = ModelSpec("mlp", 2, 3, (4,))
-    params = init_params(spec, 0).replaced({"b0": np.array([-np.inf, 0.0, 0.0, 0.0])})
+    params = {**init_params(spec, 0), "b0": np.array([-np.inf, 0.0, 0.0, 0.0])}
     with pytest.raises(FloatingPointError, match="parameters at epoch 1, step 0"):
         run_training(spec, blobs(n=60), TrainConfig("erm", epochs=2), init=params)
 
@@ -356,6 +356,14 @@ def test_train_config_rejects_numbers_that_train_silently_wrong(field, value):
 def test_train_config_keeps_a_zero_lr_and_decay_factor():
     cfg = TrainConfig("erm", epochs=1, lr=0.0, decay_factor=0.0)
     assert cfg.lr == 0.0 and cfg.decay_factor == 0.0
+
+
+@pytest.mark.parametrize("epochs", [(2, 1), (1, 1), (-1,), (-2, 3)])
+def test_train_config_rejects_bad_decay_epochs(epochs):
+    # checked at construction, not first in run_training; a negative epoch
+    # would decay from the start exactly like epoch 0
+    with pytest.raises(ValueError, match="decay epochs"):
+        TrainConfig("erm", epochs=1, decay_epochs=epochs)
 
 
 @pytest.mark.parametrize("frac", [0.0, 1.0, -0.2, 1.5, float("nan")])
