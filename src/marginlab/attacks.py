@@ -104,7 +104,8 @@ def _linf_bounds(x, cfg: AttackConfig):
     """(lo, hi): the l_inf ball around x, cut to the unit box when cfg.box."""
     lo, hi = x - cfg.epsilon, x + cfg.epsilon
     if cfg.box:
-        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
+        np.maximum(lo, 0.0, out=lo)
+        np.minimum(hi, 1.0, out=hi)
     return lo, hi
 
 
@@ -141,15 +142,22 @@ def _key(seed, cfg: AttackConfig, slot=0) -> tuple:
               (cfg.seed if seed is None else seed, EVAL, 0, 0)), slot)
 
 
-def _uniform_start(x: np.ndarray, cfg: AttackConfig, key, live=None) -> np.ndarray:
-    """A feasible random start around x[n,d], drawn from stream(*key) on the
-    whole batch and cut to x's rows when x holds the True rows of mask live."""
-    lo, hi = _linf_bounds(x, cfg)
-    if live is None:
-        return project(x, stream(*key).uniform(lo, hi), cfg)
-    bounds = np.zeros((2, len(live), x.shape[1]))  # rows not attacked span [0, 0]
-    bounds[:, live] = lo, hi
-    return project(x, stream(*key).uniform(*bounds)[live], cfg)
+def _uniform_start(x: np.ndarray, bounds, cfg: AttackConfig, key,
+                   live=None) -> np.ndarray:
+    """A feasible random start around x[n,d] from its bounds = _linf_bounds(x,
+    cfg): stream(*key).random on the whole batch, cut to x's rows when x
+    holds the True rows of mask live, scaled to [lo, hi) and projected onto
+    the ball.  This has the bits of stream(*key).uniform(lo, hi) on the whole
+    batch, rows not attacked spanning [0, 0], cut to x's rows."""
+    u = stream(*key).random(x.shape if live is None else (len(live), x.shape[1]))
+    if live is not None:
+        u = u[live]
+    lo, hi = bounds
+    u *= hi - lo
+    u += lo
+    if cfg.norm == "l_inf":
+        return np.clip(u, lo, hi, out=u)
+    return project(x, u, cfg)
 
 
 # -- projected ascent, per-class margin ascent ---------------------------------
@@ -158,8 +166,9 @@ def _uniform_start(x: np.ndarray, cfg: AttackConfig, key, live=None) -> np.ndarr
 def _ascend(spec, params, X, cfg, start, objective, optimizer):
     """Projected ascent on a per-row objective(logits[..., n, K]) -> (values
     [..., n], dvalues/dlogits) through models.forward/backward, from the start
-    that start() draws; the one loop behind every iterative attack.  X is a
-    batch [n,d] or a stack [m,n,d]; `optimizer` is used when cfg names none.
+    that start(_linf_bounds(X, cfg)) draws; the one loop behind every
+    iterative attack.  X is a batch [n,d] or a stack [m,n,d]; `optimizer` is
+    used when cfg names none.
 
     Returns (etas[..., n, d], values[..., n], clean_logits[..., n, K]): per
     row the best candidate evaluated (clean point, random start, every
@@ -171,19 +180,21 @@ def _ascend(spec, params, X, cfg, start, objective, optimizer):
 
     def keep(pts, vals):
         improved = vals > best_vals
-        best_vals[improved] = vals[improved]
-        best_pts[improved] = pts[improved]
+        np.copyto(best_vals, vals, where=improved)
+        np.copyto(best_pts, pts, where=improved[..., None])
 
     if cfg.epsilon > 0 and cfg.steps > 0:
-        pts = start()  # first, so the bounds are not held through its peak memory
-        bounds = _linf_bounds(X, cfg) if cfg.norm == "l_inf" else None
+        bounds = _linf_bounds(X, cfg)
+        pts = start(bounds)
         opt = OptimState(cfg.optimizer or optimizer, resolve_step_size(cfg))
         for _ in range(cfg.steps):
             logits, cache = forward(spec, params, pts)
             vals, dlogits = objective(logits)
             keep(pts, vals)
+            # step returns a fresh array, so the clip may write into it
             pts = step(opt, pts, backward(params, cache, dlogits), direction="ascend")
-            pts = np.clip(pts, *bounds) if bounds else project(X, pts, cfg)
+            pts = (np.clip(pts, *bounds, out=pts) if cfg.norm == "l_inf"
+                   else project(X, pts, cfg))
         keep(pts, objective(forward(spec, params, pts)[0])[0])
     return best_pts - X, best_vals, clean
 
@@ -225,8 +236,9 @@ def targeted_ascent_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     margin = margin_rows(y, targets, spec.class_count, stack.shape[:2])
 
     # drawn in _ascend, whose first step frees it; one block is not copied
-    def start():
-        starts = [_uniform_start(x, cfg, key, live) for x, key in zip(stack, keys)]
+    def start(bounds):
+        starts = [_uniform_start(x, (lo, hi), cfg, key, live)
+                  for x, lo, hi, key in zip(stack, *bounds, keys)]
         return np.stack(starts) if len(starts) > 1 else starts[0][None]
 
     etas, margins, _ = _ascend(spec, params, stack, cfg, start, margin, "rmsprop")
@@ -330,7 +342,8 @@ def pgd_surrogate_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
     etas, _, clean_logits = _ascend(
-        spec, params, X, cfg, lambda: _uniform_start(X, cfg, _key(seed, cfg)),
+        spec, params, X, cfg,
+        lambda bounds: _uniform_start(X, bounds, cfg, _key(seed, cfg)),
         lambda logits: cross_entropy_rows(logits, y), "sign_sgd")
     etas[np.argmax(clean_logits, axis=1) != y] = 0.0
     return etas
@@ -380,14 +393,19 @@ def closed_form_linear_attack(weight, bias, x, y: int, epsilon: float,
                         per_class_margins=margins)
 
 
-def grid_points(x: np.ndarray, epsilon: float, resolution: int,
-                norm: str = "l_inf", box: bool = True) -> np.ndarray:
-    """All feasible points of a (2*resolution+1)^d axis grid around x."""
-    _check_ball(epsilon, norm)
+def check_resolution(resolution) -> None:
+    """A grid resolution is an int >= 1 (a bool is not)."""
     if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
         raise ValueError(f"grid resolution must be int, got {resolution!r}")
     if resolution < 1:
         raise ValueError(f"grid resolution must be >= 1, got {resolution}")
+
+
+def grid_points(x: np.ndarray, epsilon: float, resolution: int,
+                norm: str = "l_inf", box: bool = True) -> np.ndarray:
+    """All feasible points of a (2*resolution+1)^d axis grid around x."""
+    _check_ball(epsilon, norm)
+    check_resolution(resolution)
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
     if d > 3:

@@ -21,8 +21,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import objectives
-from .attacks import (AttackConfig, beta_attack, closed_form_linear_attack,
-                      grid_max_cross_entropy, grid_oracle_attack)
+from .attacks import (AttackConfig, beta_attack, check_resolution,
+                      closed_form_linear_attack, grid_max_cross_entropy,
+                      grid_oracle_attack)
 from .data import Dataset, DatasetSpec, generate_dataset, load_idx
 from .models import ModelSpec, forward, linear_model, load_checkpoint, save_checkpoint
 from .models import forward_logits  # unused: perfbench's tracer wraps this binding
@@ -139,6 +140,7 @@ def cmd_eval(args) -> int:
     unknown = [kind for kind in cfg["attacks"] if kind not in ATTACK_KINDS]
     if unknown:  # checked before any kind runs
         raise UsageError(f"unknown attack kinds {unknown}")
+    check_resolution(cfg["grid_resolution"])  # whether or not a grid runs
     data = _build_dataset(cfg["dataset"])
     acfg = AttackConfig(**cfg["attack"])
     rows = []

@@ -1,5 +1,11 @@
 """First-order update rules shared by attacks and training: SGD, sign-SGD,
-RMSprop and Adam."""
+RMSprop and Adam.
+
+A step updates its moments in place, with one scratch array per state, and
+writes the new value into one fresh array; it runs the ops of the plain
+formulas (var - lr * g / (sqrt(v) + eps), ...) in their order, so every bit
+is theirs.
+"""
 
 from __future__ import annotations
 
@@ -27,38 +33,61 @@ class OptimState:
 
 def step(state: OptimState, var: np.ndarray, grad: np.ndarray,
          direction: str = "descend") -> np.ndarray:
-    """One in-place-free update; returns the new variable value.
+    """One update; returns the new variable value in a fresh array.
 
-    `ascend` is exactly `descend` on the negated gradient, so the two
-    directions are bit-identical mirrors.
+    var and grad are never written.  RMSprop and Adam keep their moments
+    ("v", and "m" for Adam) and a scratch array "t" in state.slots, updated
+    in place, so var keeps the shape of the state's first step.  `ascend` is
+    exactly `descend` on the negated gradient, so the two directions are
+    bit-identical mirrors.
     """
     var = np.asarray(var, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if var.shape != grad.shape:
         raise ValueError(f"variable shape {var.shape} != gradient shape {grad.shape}")
-    if direction == "ascend":
-        grad = -grad
-    elif direction != "descend":
+    if direction not in ("ascend", "descend"):
         raise ValueError("direction must be 'ascend' or 'descend'")
+    slots = state.slots
+    if state.kind in ("rmsprop", "adam"):
+        if not slots:
+            names = ("m", "v", "t") if state.kind == "adam" else ("v", "t")
+            slots.update((name, np.zeros(var.shape)) for name in names)
+        elif slots["t"].shape != var.shape:
+            raise ValueError(f"variable shape {var.shape} != optimizer state "
+                             f"shape {slots['t'].shape}")
 
     state.step_count += 1
-    if state.kind == "sgd":
-        return var - state.lr * grad
-    if state.kind == "sign_sgd":
-        return var - state.lr * np.sign(grad)
-    if state.kind == "rmsprop":
-        v = state.slots.get("v", np.zeros_like(var))
-        v = RHO * v + (1.0 - RHO) * grad * grad
-        state.slots["v"] = v
-        return var - state.lr * grad / (np.sqrt(v) + EPS)
-    # adam
-    m = state.slots.get("m", np.zeros_like(var))
-    v = state.slots.get("v", np.zeros_like(var))
-    m = BETA1 * m + (1.0 - BETA1) * grad
-    v = BETA2 * v + (1.0 - BETA2) * grad * grad
-    state.slots["m"] = m
-    state.slots["v"] = v
-    t = state.step_count
-    m_hat = m / (1.0 - BETA1 ** t)
-    v_hat = v / (1.0 - BETA2 ** t)
-    return var - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+    out = np.empty(var.shape)
+    # the negated gradient lives in out until the update overwrites it
+    g = np.negative(grad, out=out) if direction == "ascend" else grad
+    if state.kind == "sgd":  # var - lr * g
+        np.multiply(g, state.lr, out=out)
+    elif state.kind == "sign_sgd":  # var - lr * sign(g)
+        # into a second array: numpy's in-place sign is ~6x slower on mixed signs
+        out = np.sign(g, out=np.empty(var.shape))
+        out *= state.lr
+    else:
+        v, t = slots["v"], slots["t"]
+        decay = RHO if state.kind == "rmsprop" else BETA2
+        if state.kind == "adam":  # m = BETA1 * m + (1 - BETA1) * g
+            m = slots["m"]
+            np.multiply(g, 1.0 - BETA1, out=t)
+            m *= BETA1
+            m += t
+        # v = decay * v + (1 - decay) * g * g
+        np.multiply(g, 1.0 - decay, out=t)
+        t *= g
+        v *= decay
+        v += t
+        if state.kind == "rmsprop":  # var - lr * g / (sqrt(v) + EPS)
+            np.sqrt(v, out=t)
+            np.multiply(g, state.lr, out=out)
+        else:  # var - lr * m_hat / (sqrt(v_hat) + EPS), bias-corrected moments
+            n = state.step_count
+            np.divide(m, 1.0 - BETA1 ** n, out=out)
+            out *= state.lr
+            np.divide(v, 1.0 - BETA2 ** n, out=t)
+            np.sqrt(t, out=t)
+        t += EPS
+        out /= t
+    return np.subtract(var, out, out=out)

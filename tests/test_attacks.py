@@ -3,14 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from marginlab.attacks import (AttackConfig, _key, beta_attack, beta_attack_batch,
+from marginlab.attacks import (AttackConfig, _key, _linf_bounds, _uniform_start,
+                               beta_attack, beta_attack_batch,
                                closed_form_linear_attack, fgsm, fgsm_batch,
                                grid_margin_per_class, grid_max_cross_entropy,
                                grid_oracle_attack, grid_points, pgd_surrogate,
                                pgd_surrogate_batch, project, resolve_step_size,
                                targeted_ascent_batch, targeted_margin_ascent,
                                wrong_classes)
-from marginlab.data import EVAL
+from marginlab.data import EVAL, stream
 from marginlab.models import ModelSpec, forward_logits, init_params, linear_model
 from marginlab.objectives import zero_one_error
 
@@ -35,6 +36,30 @@ def test_project_linf_box():
     cfg = AttackConfig(epsilon=0.2, norm="l_inf", box=True)
     assert project(np.array([0.5]), np.array([0.9]), cfg) == pytest.approx(0.7)
     assert project(np.array([0.9]), np.array([1.3]), cfg) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["all-rows", "live-rows"])
+@pytest.mark.parametrize("box", [True, False])
+@pytest.mark.parametrize("norm,epsilon", [("l_inf", 0.2), ("l2", 1.5)])
+def test_uniform_start_matches_the_broadcast_draw(norm, epsilon, box, live):
+    # the scaled random draw has the bits of Generator.uniform(lo, hi) with
+    # the bounds broadcast per element; rows off the mask span [0, 0]
+    rng = np.random.default_rng(3)
+    X = rng.uniform(size=(12, 5))
+    X[0], X[1, :2] = 0.0, 1.0  # rows and coordinates on the box faces
+    cfg = AttackConfig(epsilon=epsilon, norm=norm, box=box)
+    key = (9, EVAL, 0, 0, 2)
+    mask = np.arange(12) % 3 != 1 if live else None
+    x = X[mask] if live else X
+    lo, hi = _linf_bounds(x, cfg)
+    if live:
+        bounds = np.zeros((2, 12, 5))
+        bounds[:, mask] = lo, hi
+        expected = project(x, stream(*key).uniform(*bounds)[mask], cfg)
+    else:
+        expected = project(x, stream(*key).uniform(lo, hi), cfg)
+    out = _uniform_start(x, _linf_bounds(x, cfg), cfg, key, mask)
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_project_l2_radial():

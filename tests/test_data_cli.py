@@ -213,6 +213,11 @@ BLOCK_3 = {"kind": "gaussian_blobs", "n": 30, "class_count": 3, "noise": 0.08,
                  id="oracle-epsilon-type"),
     pytest.param("eval", {"attacks": ["grid_oracle"], "grid_resolution": 2.5},
                  "resolution must be int, got 2.5", id="eval-grid-resolution-type"),
+    pytest.param("eval", {"grid_resolution": 2.5}, "resolution must be int, got 2.5",
+                 id="eval-grid-resolution-default-attacks"),
+    pytest.param("eval", {"attacks": ["grid_oracle"], "attack": {"epsilon": 0.0},
+                          "grid_resolution": 0},
+                 "resolution must be >= 1, got 0", id="eval-grid-resolution-at-eps0"),
 ])
 def test_cli_rejects_invalid_config_values(tmp_path, capsys, command, cfg,
                                            rejected):

@@ -4,7 +4,7 @@ import pytest
 from marginlab import training
 from marginlab.data import Dataset
 from marginlab.models import ModelSpec
-from marginlab.optim import OptimState, step
+from marginlab.optim import BETA1, BETA2, EPS, RHO, OptimState, step
 from marginlab.training import TrainConfig, run_training
 
 
@@ -97,3 +97,47 @@ def test_lr_schedule(monkeypatch):
     assert len(rates) == 3
     with pytest.raises(ValueError):
         TrainConfig("erm", epochs=1, decay_epochs=(150, 100))
+
+
+def _allocating_step(kind, lr, slots, n, var, grad, direction):
+    """The plain formulas, one fresh array per term: the reference for step."""
+    if direction == "ascend":
+        grad = -grad
+    if kind == "sgd":
+        return var - lr * grad
+    if kind == "sign_sgd":
+        return var - lr * np.sign(grad)
+    if kind == "rmsprop":
+        slots["v"] = RHO * slots.get("v", 0.0) + (1.0 - RHO) * grad * grad
+        return var - lr * grad / (np.sqrt(slots["v"]) + EPS)
+    slots["m"] = BETA1 * slots.get("m", 0.0) + (1.0 - BETA1) * grad
+    slots["v"] = BETA2 * slots.get("v", 0.0) + (1.0 - BETA2) * grad * grad
+    m_hat = slots["m"] / (1.0 - BETA1 ** n)
+    v_hat = slots["v"] / (1.0 - BETA2 ** n)
+    return var - lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+@pytest.mark.parametrize("shape", [(), (5, 7), (3, 5, 7)], ids=["0d", "nd", "mnd"])
+@pytest.mark.parametrize("direction", ["descend", "ascend"])
+@pytest.mark.parametrize("kind", ["sgd", "sign_sgd", "rmsprop", "adam"])
+def test_fused_step_is_bit_equal_to_the_allocating_rule(kind, direction, shape):
+    rng = np.random.default_rng(7)
+    state, ref_slots = OptimState(kind, 0.03), {}
+    var = ref = rng.normal(size=shape)
+    for n in range(1, 11):
+        grad = rng.normal(size=shape)
+        if shape:  # zeros and signed zeros exercise sign() and the moments
+            grad[..., 0] = 0.0
+            grad[..., 1] = -0.0
+        var_before, grad_before = var.copy(), grad.copy()
+        out = step(state, var, grad, direction)
+        ref = _allocating_step(kind, 0.03, ref_slots, n, ref, grad, direction)
+        assert np.asarray(out).tobytes() == np.asarray(ref).tobytes()
+        assert var.tobytes() == var_before.tobytes()
+        assert grad.tobytes() == grad_before.tobytes()
+        for held in (var, *state.slots.values()):
+            assert not np.shares_memory(out, held)
+        var = ref = out
+    if kind in ("rmsprop", "adam"):  # sgd and sign-SGD hold no slots
+        with pytest.raises(ValueError, match="optimizer state shape"):
+            step(state, np.zeros((2, *shape)), np.zeros((2, *shape)), direction)
