@@ -10,14 +10,19 @@ candidate it actually evaluated (clean point, random start, every iterate) so
 the reported perturbation is never worse than doing nothing; this is what
 makes robust accuracy <= clean accuracy hold exactly during evaluation.
 
-BETA's K-1 per-class problems (slots) are independent: one
-targeted_ascent_batch call runs a group of them on a leading slot axis
-(points [m,n,d]) while m*n*max(d, hidden..., K) <= 2**15, each slot on its
-own stream and matmuls, so results are bit-identical to one slot at a time.
-beta_attack_batch holds the one loop over them and the one fold, for
-training and evaluation alike; with a mask live (robust accuracy) it exits
-early, attacking rows correct at x until a slot breaks them, with starts
-drawn on the whole batch, and given a slots array it also hands back every
+BETA's K-1 per-class problems (slots) are independent.  beta_attack_batch
+holds the one loop over them and the one fold, for training and evaluation
+alike.  Row i takes its slots in an order of its own, order[i]: class order,
+or under a mask live (robust accuracy) most confusable first, by clean
+margin.  One targeted_ascent_batch call runs a group of ranks as an [m,n,d]
+stack with one target per (row, slot) pair, while m*n*max(d, hidden..., K)
+<= 2**15.  Each layer gets its own matmuls, and each pair starts from its
+row of its slot's whole-batch draw, whichever group it runs in, so training
+results are bit-identical to one slot at a time.  Under live a row leaves
+on the first ascent step that gives one of its pairs a margin > 0, since its
+verdict is then known, and a row wrong at x is never attacked; as rows leave,
+the row count of a matmul changes, which can move a 784-d margin in its last
+bits but no verdict.  Given a slots array, the loop also hands back every
 slot's etas, which sbeta_at's defender weighs.
 No attack builds an autodiff graph: the loop, FGSM, the grid oracles and
 single-sample results run the models.forward/backward kernel on per-row
@@ -35,8 +40,8 @@ from .data import EVAL, check_numbers, stream
 from .models import ModelSpec, backward, forward
 from .models import forward_logits  # unused: perfbench's tracer wraps this binding
 from .objectives import cross_entropy  # unused: perfbench's tracer wraps this binding
-from .objectives import (cross_entropy_rows, margin_rows, max_margin_over_classes,
-                         zero_one_error)
+from .objectives import (check_classes, cross_entropy_rows, margin_rows,
+                         max_margin_over_classes, zero_one_error)
 from .optim import KINDS, OptimState, step
 
 NORMS = ("l_inf", "l2")
@@ -142,16 +147,11 @@ def _key(seed, cfg: AttackConfig, slot=0) -> tuple:
               (cfg.seed if seed is None else seed, EVAL, 0, 0)), slot)
 
 
-def _uniform_start(x: np.ndarray, bounds, cfg: AttackConfig, key,
-                   live=None) -> np.ndarray:
-    """A feasible random start around x[n,d] from its bounds = _linf_bounds(x,
-    cfg): stream(*key).random on the whole batch, cut to x's rows when x
-    holds the True rows of mask live, scaled to [lo, hi) and projected onto
-    the ball.  This has the bits of stream(*key).uniform(lo, hi) on the whole
-    batch, rows not attacked spanning [0, 0], cut to x's rows."""
-    u = stream(*key).random(x.shape if live is None else (len(live), x.shape[1]))
-    if live is not None:
-        u = u[live]
+def _uniform_start(x: np.ndarray, bounds, cfg: AttackConfig, u) -> np.ndarray:
+    """A feasible random start around x[..., n, d] from its bounds =
+    _linf_bounds(x, cfg): the uniform [0, 1) draws u, shaped like x, scaled in
+    place to [lo, hi) and projected onto the ball.  With u a generator's
+    random(x.shape) this has the bits of its uniform(lo, hi)."""
     lo, hi = bounds
     u *= hi - lo
     u += lo
@@ -160,33 +160,97 @@ def _uniform_start(x: np.ndarray, bounds, cfg: AttackConfig, key,
     return project(x, u, cfg)
 
 
+# a gap of more draws than this is jumped with advance, not drawn through:
+# 512 doubles take ~1.5 us to draw, about one advance and one more call
+_SKIP = 512
+
+
+def _gather(gen, rows, out):
+    """Fill out[len(rows), d] with rows `rows` (ascending) of
+    gen.random((N, d)), for any N > rows[-1], with its exact bits: PCG64's
+    random takes one 64-bit output per double, so runs of wanted rows are
+    drawn and gaps of more than _SKIP doubles jumped with advance."""
+    d, jump = out.shape[1], _SKIP // out.shape[1]
+    starts = np.flatnonzero(np.diff(rows, prepend=-np.inf) > jump + 1).tolist()
+    pos = 0  # the row gen draws next
+    for i, j in zip(starts, [*starts[1:], len(rows)]):
+        if rows[i] - pos > jump:
+            gen.bit_generator.advance(int(rows[i] - pos) * d)
+            pos = rows[i]
+        last = rows[j - 1] + 1
+        if last - pos == j - i:
+            gen.random(out=out[i:j])
+        else:
+            out[i:j] = gen.random((last - pos, d))[rows[i:j] - pos]
+        pos = last
+
+
+def _slot_draws(seed, cfg: AttackConfig, shape):
+    """draw(slot_of[m, r], rows[r]) -> u[m, r, d] for a batch of shape[1]
+    rows and shape[0] slots: pair (l, j) gets row rows[j] (ascending) of
+    stream(*_key(seed, cfg, slot_of[l, j])).random(shape[1:]), with its bits,
+    whatever was drawn before.  A batch of at most _GROUP_ELEMS numbers keeps
+    every slot's whole draw; for a larger one each slot's generator is built
+    once, restarted from its saved state and its rows gathered."""
+    n_slots, n, d = shape
+    if n * d <= _GROUP_ELEMS:  # at most 2.4 MB for 10 classes; one fancy index a group
+        kept = np.empty(shape)
+        for s in range(n_slots):
+            stream(*_key(seed, cfg, s)).random(out=kept[s])
+        return lambda slot_of, rows: kept[slot_of, rows]
+    gens = {}
+
+    def draw(slot_of, rows):
+        u = np.empty((*slot_of.shape, d))
+        for layer, slot_row in zip(u, slot_of):
+            for s in np.unique(slot_row).tolist():
+                if s not in gens:
+                    gen = stream(*_key(seed, cfg, s))
+                    gens[s] = gen, gen.bit_generator.state
+                gen, state = gens[s]
+                gen.bit_generator.state = state
+                cols = np.flatnonzero(slot_row == s)
+                if len(cols) == len(rows):
+                    _gather(gen, rows, layer)
+                else:
+                    part = np.empty((len(cols), d))
+                    _gather(gen, rows[cols], part)
+                    layer[cols] = part
+        return u
+    return draw
+
+
 # -- projected ascent, per-class margin ascent ---------------------------------
 
 
-def _ascend(spec, params, X, cfg, start, objective, optimizer):
+def _ascend(spec, params, X, cfg, start, objective, optimizer, best_vals,
+            retire=None):
     """Projected ascent on a per-row objective(logits[..., n, K]) -> (values
     [..., n], dvalues/dlogits) through models.forward/backward, from the start
     that start(_linf_bounds(X, cfg)) draws; the one loop behind every
     iterative attack.  X is a batch [n,d] or a stack [m,n,d]; `optimizer` is
-    used when cfg names none.
+    used when cfg names none; best_vals, the objective at X (the clean
+    candidate), is overwritten.
 
-    Returns (etas[..., n, d], values[..., n], clean_logits[..., n, K]): per
-    row the best candidate evaluated (clean point, random start, every
-    iterate) and its objective value, plus the logits at the clean point.
-    Each iterate's value comes from the forward pass built for its gradient.
+    Returns (etas[..., n, d], values[..., n]): per row the best candidate
+    evaluated (clean point, random start, every iterate) and its objective
+    value.  Each iterate's value comes from the forward pass built for its
+    gradient.  Given retire(rows) -> the objective on those rows of X, a row
+    leaves every layer after the first step that leaves one of its best
+    values > 0, with its best candidates so far.
     """
-    clean, _ = forward(spec, params, X)
-    best_pts, best_vals = X.copy(), objective(clean)[0]
+    best_pts, gone = X.copy(), []  # gone: (rows, etas, values) of rows that left
 
     def keep(pts, vals):
         improved = vals > best_vals
-        np.copyto(best_vals, vals, where=improved)
-        np.copyto(best_pts, pts, where=improved[..., None])
+        best_vals[improved] = vals[improved]
+        best_pts[improved] = pts[improved]
 
     if cfg.epsilon > 0 and cfg.steps > 0:
         bounds = _linf_bounds(X, cfg)
         pts = start(bounds)
         opt = OptimState(cfg.optimizer or optimizer, resolve_step_size(cfg))
+        rows = np.arange(X.shape[-2])  # the call's rows still ascending
         for _ in range(cfg.steps):
             logits, cache = forward(spec, params, pts)
             vals, dlogits = objective(logits)
@@ -195,8 +259,36 @@ def _ascend(spec, params, X, cfg, start, objective, optimizer):
             pts = step(opt, pts, backward(params, cache, dlogits), direction="ascend")
             pts = (np.clip(pts, *bounds, out=pts) if cfg.norm == "l_inf"
                    else project(X, pts, cfg))
-        keep(pts, objective(forward(spec, params, pts)[0])[0])
-    return best_pts - X, best_vals, clean
+            if retire is None:
+                continue
+            hot = best_vals > 0  # only rows that broke on this step: the others left
+            if hot.any():
+                left = hot.reshape(-1, len(rows)).any(axis=0)
+                out, stay = np.flatnonzero(left), np.flatnonzero(~left)
+                gone.append((rows[out], best_pts.take(out, -2) - X.take(out, -2),
+                             best_vals.take(out, -1)))
+                # one copy at a time, each source freed as it is replaced
+                cache = bounds = None
+                X = X.take(stay, -2)
+                pts = pts.take(stay, -2)
+                best_pts = best_pts.take(stay, -2)
+                bounds = _linf_bounds(X, cfg)
+                for key in opt.slots:
+                    opt.slots[key] = opt.slots[key].take(stay, -2)
+                best_vals, rows = best_vals.take(stay, -1), rows[stay]
+                objective = retire(rows)
+                if not len(rows):
+                    break
+        else:
+            keep(pts, objective(forward(spec, params, pts)[0])[0])
+    if not gone:
+        return best_pts - X, best_vals
+    gone.append((rows, best_pts - X, best_vals))
+    etas = np.empty((*best_vals.shape[:-1], sum(len(r) for r, _, _ in gone), X.shape[-1]))
+    values = np.empty(etas.shape[:-1])
+    for r, e, v in gone:
+        etas[..., r, :], values[..., r] = e, v
+    return etas, values
 
 
 def wrong_classes(y, k):
@@ -210,39 +302,48 @@ def wrong_classes(y, k):
 # groups this allows made 400- to 1000-row batches 7-42% faster, while 2-3
 # slots of a 2000-row batch moved -6% to +9% and 9 slots lost 25-32%;
 # all K-1 slots of a 2000x784 batch ran 15% slower stacked than one by one.
+# A group's rows are the rows still live, so once rows retire the ranks
+# left run in larger groups; a batch of at most this many numbers also
+# keeps each slot's whole random draw for the call (_slot_draws).
 _GROUP_ELEMS = 2 ** 15
 
 
 def targeted_ascent_batch(spec: ModelSpec, params: dict, X: np.ndarray,
                           y: np.ndarray, targets: np.ndarray, cfg: AttackConfig,
-                          seed=None, live=None):
+                          seed=None, draw=None, clean=None, retire=False):
     """Projected ascent on logits[target] - logits[y] for a whole batch.
 
-    Returns (etas[n,d], margins[n]) for the best iterate each row has seen;
-    the clean point and the random start are both in the candidate set.
-    A list of m stream keys splits the rows into m equal blocks on a slot
-    axis: each block draws its start from its own key and gets its own
-    matmuls, so the result has the bits of m calls, one per block.  Blocks
-    that hold the True rows of a mask live draw their starts on its batch.
+    X is a batch [n,d] with targets[n], or a stack [m,n,d] with one target
+    per (layer, row) pair in targets[m,n]; y is [n].  Returns (etas shaped
+    like X, margins[..., n]) for the best candidate each pair has seen: the
+    clean point, the random start and every iterate.  Each layer gets its
+    own matmuls, so a stack has the bits of one call per layer.  The start
+    draws stream(*_key(seed, cfg)).random(X.shape) (a list [key] names the
+    stream key itself), or draw() gives those uniform draws; clean, the
+    margins at X, saves their forward pass.  With retire, a row leaves every
+    layer after the first step that gives one of its pairs a best margin
+    > 0, and keeps its best candidates up to that step.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
     targets = np.asarray(targets, dtype=np.intp)
     if np.any(targets == y):
         raise ValueError("target class must differ from the true class")
-    keys = seed if isinstance(seed, list) else [_key(seed, cfg)]
-    stack = X.reshape(len(keys), len(X) // len(keys), X.shape[1])
-    # flatten only the logits: [m*n, d] rows can change a matmul's bits
-    margin = margin_rows(y, targets, spec.class_count, stack.shape[:2])
 
-    # drawn in _ascend, whose first step frees it; one block is not copied
-    def start(bounds):
-        starts = [_uniform_start(x, (lo, hi), cfg, key, live)
-                  for x, lo, hi, key in zip(stack, *bounds, keys)]
-        return np.stack(starts) if len(starts) > 1 else starts[0][None]
+    def margin(rows=slice(None)):
+        t = targets[..., rows]
+        return margin_rows(np.broadcast_to(y[rows], t.shape).ravel(), t.ravel(),
+                           spec.class_count, t.shape)
 
-    etas, margins, _ = _ascend(spec, params, stack, cfg, start, margin, "rmsprop")
-    return etas.reshape(X.shape), margins.ravel()
+    objective = margin()
+    clean = (objective(forward(spec, params, X)[0])[0] if clean is None
+             else np.array(clean, dtype=np.float64))
+    (key,) = seed if isinstance(seed, list) else [_key(seed, cfg)]
+    draw = draw or (lambda: stream(*key).random(X.shape))
+    # drawn in _ascend, whose first step frees it
+    return _ascend(spec, params, X, cfg,
+                   lambda bounds: _uniform_start(X, bounds, cfg, draw()),
+                   objective, "rmsprop", clean, margin if retire else None)
 
 
 def targeted_margin_ascent(spec: ModelSpec, params: dict, x, y: int,
@@ -258,39 +359,54 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
                       y: np.ndarray, cfg: AttackConfig, seed=None, live=None,
                       slots=None):
     """Per-class margin ascent for every wrong class, then the best class:
-    (etas[n,d], j_stars[n], margins[n]); strict > keeps the lowest class on
-    ties.  The one loop over BETA's slots: slot s targets column s of
-    wrong_classes(y, K) and draws from _key(seed, cfg, s); slots run in
-    groups, one targeted_ascent_batch call each, while
-    m*rows*max(d, hidden..., K) <= _GROUP_ELEMS, with exactly the bits of one
-    call per slot.  A bool mask live attacks only its rows and drops each
-    row once a slot gives it a margin > 0, which stays its best; rows never
-    attacked keep eta 0, j* 0 and margin -inf.  An array slots[K-1,n,d]
-    receives each slot's etas at the rows it attacks."""
+    (etas[n,d], j_stars[n], margins[n]), the lowest class on equal margins.
+    The one loop over BETA's slots: slot s of row i targets column s of
+    wrong_classes(y, K) and starts from row i of the whole-batch draw keyed
+    _key(seed, cfg, s), whichever round it runs in.  Row i takes its slots
+    in the order order[i]: class order, or with a bool mask live, most
+    confusable first (largest clean margin, the lower slot on ties).  Ranks
+    run in groups of (row, slot) pairs, one targeted_ascent_batch call each,
+    while m*rows*max(d, hidden..., K) <= _GROUP_ELEMS; without live this has
+    exactly the bits of one call per slot.  The clean logits are computed
+    once.  A mask live attacks only its rows and retires each row after the
+    first ascent step that gives one of its pairs a margin > 0: it returns
+    that step's best candidate, and rows never attacked keep eta 0, j* 0 and
+    margin -inf.  An array slots[K-1,n,d] receives each slot's etas at the
+    rows it attacks."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
     (n, d), k = X.shape, spec.class_count
+    check_classes(k, y)
     wrong = wrong_classes(y, k)
     best = (np.zeros(X.shape), np.zeros(n, np.intp), np.full(n, -np.inf))
+    logits, rows = forward(spec, params, X)[0], np.arange(n)
+    clean = logits[rows[:, None], wrong] - logits[rows, y][:, None]  # [n, K-1] margins
+    order = (np.broadcast_to(np.arange(k - 1), clean.shape) if live is None
+             else np.argsort(-clean, axis=1, kind="stable"))
+    draw = _slot_draws(seed, cfg, (k - 1, n, d))
     live = None if live is None else live.copy()
     first = 0
     while first < k - 1 and (live is None or live.any()):
-        at = np.arange(n) if live is None else np.flatnonzero(live)
-        part = X if live is None else X[at]
+        at = rows if live is None else np.flatnonzero(live)
         m = min(k - 1 - first,
                 max(1, _GROUP_ELEMS // max(1, len(at) * max(d, *spec.hidden, k))))
-        targets = wrong[at, first:first + m].T
+        slot_of = order[at, first:first + m].T  # [m, rows]
+        targets = wrong[at, slot_of]
+        part = X if live is None else X[at]
         etas, margins = targeted_ascent_batch(
-            spec, params, np.tile(part, (m, 1)) if m > 1 else part,
-            np.tile(y[at], m), targets.ravel(), cfg,
-            seed=[_key(seed, cfg, s) for s in range(first, first + m)], live=live)
-        etas, margins = etas.reshape(m, len(at), d), margins.reshape(m, len(at))
+            spec, params, np.broadcast_to(part, (m, *part.shape)),
+            y[at], targets, cfg, draw=lambda: draw(slot_of, at),
+            clean=clean[at, slot_of], retire=live is not None)
         if slots is not None:
-            slots[first:first + m, at] = etas
-        for slot in zip(etas, targets, margins):
-            improved = slot[2] > best[2][at]
-            for kept, new in zip(best, slot):
-                kept[at[improved]] = new[improved]
+            slots[slot_of, at] = etas
+        # each row's best layer, then against its best so far; the lower
+        # class on equal margins, and fmax passes over a NaN
+        layer = np.where(margins == np.fmax.reduce(margins), targets, k).argmin(axis=0)
+        cols = np.arange(len(at))
+        new_j, new_m, kept_m = targets[layer, cols], margins[layer, cols], best[2][at]
+        better = (new_m > kept_m) | ((new_m == kept_m) & (new_j < best[1][at]))
+        for kept, value in zip(best, (etas, targets, margins)):
+            kept[at[better]] = value[layer[better], cols[better]]
         if live is not None:
             live[at[(margins > 0).any(axis=0)]] = False
         first += m
@@ -341,10 +457,13 @@ def pgd_surrogate_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
-    etas, _, clean_logits = _ascend(
+    clean_logits = forward(spec, params, X)[0]
+    etas, _ = _ascend(
         spec, params, X, cfg,
-        lambda bounds: _uniform_start(X, bounds, cfg, _key(seed, cfg)),
-        lambda logits: cross_entropy_rows(logits, y), "sign_sgd")
+        lambda bounds: _uniform_start(
+            X, bounds, cfg, stream(*_key(seed, cfg)).random(X.shape)),
+        lambda logits: cross_entropy_rows(logits, y), "sign_sgd",
+        cross_entropy_rows(clean_logits, y)[0])
     etas[np.argmax(clean_logits, axis=1) != y] = 0.0
     return etas
 

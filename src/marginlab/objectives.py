@@ -28,7 +28,7 @@ def cross_entropy(logits, y, base="e") -> Tensor:
         out = tsum(loss)
     else:
         y = np.asarray(y, dtype=np.intp)
-        _check_classes(logits.data.shape[1], y)
+        check_classes(logits.data.shape[1], y)
         out = sub(logsumexp(logits, axis=1), take_per_row(logits, y))
     if base == 2:
         out = mul(out, 1.0 / _LN2)
@@ -37,7 +37,7 @@ def cross_entropy(logits, y, base="e") -> Tensor:
     return out
 
 
-def _check_classes(k, *labels):
+def check_classes(k, *labels):
     if any(np.any(c < 0) or np.any(c >= k) for c in labels):
         raise ValueError("class index out of range")
 
@@ -46,7 +46,7 @@ def cross_entropy_rows(logits, y, weight=1.0):
     """(cross_entropy per row of logits[n,K], the gradient of weight times
     their sum wrt the logits) in plain numpy, with the graph's ops in order;
     weight is a scalar or one weight per row."""
-    _check_classes(logits.shape[1], y)
+    check_classes(logits.shape[1], y)
     shift = logits.max(axis=1, keepdims=True)
     exps = np.exp(logits - shift)
     sums = exps.sum(axis=1)
@@ -59,7 +59,7 @@ def cross_entropy_rows(logits, y, weight=1.0):
 def margin_rows(y, targets, k, shape):
     """objective(logits[*shape, K]) -> (logits[target] - logits[y] per flat
     row, its gradient e_target - e_y, the same at every point: built once)."""
-    _check_classes(k, y, targets)
+    check_classes(k, y, targets)
     rows = np.arange(len(y))
     grad = np.zeros((len(y), k))
     grad[rows, targets], grad[rows, y] = 1.0, -1.0

@@ -112,9 +112,11 @@ def evaluate_robust(spec: ModelSpec, params: dict, data: Dataset,
     attacked point x + eta (for grid_oracle: not broken anywhere on the
     grid); the random starts draw from seed, or from cfg.seed when None.
     beta exits early, so in eval, attack and the monitor alike: it calls
-    beta_attack_batch with live=correct, a row leaves with the first slot
-    that gives it a margin > 0, and rows no slot breaks are scored at their
-    best eta over all K-1 slots."""
+    beta_attack_batch with live=correct, which tries each row's most
+    confusable class first and retires a row on the first ascent step that
+    gives one of its slots a margin > 0 (it returns that step's best
+    candidate; only its margin > 0 is read here).  Rows no slot breaks are
+    scored at their best eta over all K-1 slots."""
     if attack_kind not in ATTACK_KINDS:
         raise ValueError(f"unknown attack kind {attack_kind!r}")
     _check_labels(spec, "dataset", data)

@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from marginlab.attacks import (AttackConfig, _key, _linf_bounds, _uniform_start,
-                               beta_attack, beta_attack_batch,
+from marginlab.attacks import (AttackConfig, _gather, _key, _linf_bounds,
+                               _slot_draws, _uniform_start, beta_attack,
+                               beta_attack_batch,
                                closed_form_linear_attack, fgsm, fgsm_batch,
                                grid_margin_per_class, grid_max_cross_entropy,
                                grid_oracle_attack, grid_points, pgd_surrogate,
@@ -43,23 +44,63 @@ def test_project_linf_box():
 @pytest.mark.parametrize("norm,epsilon", [("l_inf", 0.2), ("l2", 1.5)])
 def test_uniform_start_matches_the_broadcast_draw(norm, epsilon, box, live):
     # the scaled random draw has the bits of Generator.uniform(lo, hi) with
-    # the bounds broadcast per element; rows off the mask span [0, 0]
+    # the bounds broadcast per element; live rows gather their rows of the
+    # whole-batch draw, as rows off the mask spanning [0, 0] would give them
     rng = np.random.default_rng(3)
     X = rng.uniform(size=(12, 5))
     X[0], X[1, :2] = 0.0, 1.0  # rows and coordinates on the box faces
     cfg = AttackConfig(epsilon=epsilon, norm=norm, box=box)
     key = (9, EVAL, 0, 0, 2)
-    mask = np.arange(12) % 3 != 1 if live else None
-    x = X[mask] if live else X
+    mask = np.arange(12) % 3 != 1 if live else np.ones(12, dtype=bool)
+    x = X[mask]
     lo, hi = _linf_bounds(x, cfg)
-    if live:
-        bounds = np.zeros((2, 12, 5))
-        bounds[:, mask] = lo, hi
-        expected = project(x, stream(*key).uniform(*bounds)[mask], cfg)
-    else:
-        expected = project(x, stream(*key).uniform(lo, hi), cfg)
-    out = _uniform_start(x, _linf_bounds(x, cfg), cfg, key, mask)
+    bounds = np.zeros((2, 12, 5))
+    bounds[:, mask] = lo, hi
+    expected = project(x, stream(*key).uniform(*bounds)[mask], cfg)
+    u = np.empty(x.shape)
+    _gather(stream(*key), np.flatnonzero(mask), u)
+    out = _uniform_start(x, _linf_bounds(x, cfg), cfg, u)
     assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 784])
+def test_gather_has_the_bits_of_the_whole_batch_draw(d):
+    # any ascending rows, long gaps jumped or short ones drawn through, from
+    # a fresh generator or one restarted after other draws
+    n = {1: 3000, 2: 1500, 784: 40}[d]
+    key = (4, EVAL, 0, 0, 3)
+    whole = stream(*key).random((n, d))
+    rng = np.random.default_rng(d)
+    subsets = [[], [0], [n - 1], list(range(n)), [1, 2, n - 2], [0, n - 1]]
+    subsets += [np.sort(rng.choice(n, size, replace=False)) for size in (1, 5, n // 3, n - 1)]
+    gen = stream(*key)
+    state = gen.bit_generator.state
+    for rows in subsets:
+        rows = np.asarray(rows, dtype=np.intp)
+        for _ in range(2):  # the second time the generator has been used
+            gen.bit_generator.state = state
+            out = np.full((len(rows), d), np.nan)
+            _gather(gen, rows, out)
+            assert out.tobytes() == whole[rows].tobytes()
+
+
+@pytest.mark.parametrize("n,d", [(30, 2), (50, 784)], ids=["kept", "gathered"])
+def test_slot_draws_give_each_pair_its_slots_whole_batch_row(n, d):
+    # group after group, in any order of slots and rows: pair (l, j) holds
+    # row rows[j] of its slot's whole-batch draw
+    k, seed = 6, (7, EVAL, 2, 1)
+    cfg = AttackConfig(epsilon=0.1)
+    whole = np.stack([stream(*_key(seed, cfg, s)).random((n, d)) for s in range(k - 1)])
+    draw = _slot_draws(seed, cfg, (k - 1, n, d))
+    rng = np.random.default_rng(n)
+    order = np.argsort(rng.uniform(size=(n, k - 1)), axis=1)
+    for first, m, rows in ((0, 2, np.arange(n)), (2, 1, np.array([3, 4, n - 1])),
+                           (3, 2, np.sort(rng.choice(n, n // 2, replace=False))),
+                           (0, 1, np.array([], dtype=np.intp)), (0, 5, np.arange(n))):
+        slot_of = order[rows, first:first + m].T
+        u = draw(slot_of, rows)
+        assert u.shape == (m, len(rows), d)
+        assert u.tobytes() == whole[slot_of, rows].tobytes()
 
 
 def test_project_l2_radial():
@@ -366,21 +407,61 @@ def test_beta_slots_are_the_serial_slot_ascents(n, hidden, k):
         assert np.array_equal(margins, best[2])
 
 
-def test_targeted_batch_with_a_seed_list_is_one_call_per_block():
+def test_targeted_batch_on_a_stack_is_one_call_per_layer():
+    # layers of one batch with their own targets and draws, and the clean
+    # margins handed in, give the bits of one call per layer
     rng = np.random.default_rng(10)
     spec = ModelSpec("mlp", 3, 4, (5,))
     params = init_params(spec, 1)
     X, y = rng.uniform(size=(6, 3)), np.array([0, 1, 2, 3, 0, 1])
     t1, t2 = (y + 1) % 4, (y + 2) % 4
     cfg = AttackConfig(epsilon=0.1, norm="l2", steps=4)
-    etas, margins = targeted_ascent_batch(spec, params, np.tile(X, (2, 1)),
-                                          np.tile(y, 2), np.concatenate([t1, t2]),
-                                          cfg, seed=[(3, EVAL, 0, 0, 0),
-                                                      (8, EVAL, 0, 0, 0)])
+    logits = forward_logits(spec, params, X).data
+    rows = np.arange(6)
+    etas, margins = targeted_ascent_batch(
+        spec, params, np.broadcast_to(X, (2, 6, 3)), y, np.stack([t1, t2]), cfg,
+        draw=lambda: np.stack([stream(3, EVAL, 0, 0, 0).random(X.shape),
+                               stream(8, EVAL, 0, 0, 0).random(X.shape)]),
+        clean=np.stack([logits[rows, t] - logits[rows, y] for t in (t1, t2)]))
     e1, m1 = targeted_ascent_batch(spec, params, X, y, t1, cfg, seed=3)
     e2, m2 = targeted_ascent_batch(spec, params, X, y, t2, cfg, seed=8)
-    assert np.array_equal(etas, np.concatenate([e1, e2]))
-    assert np.array_equal(margins, np.concatenate([m1, m2]))
+    assert np.array_equal(etas, np.stack([e1, e2]))
+    assert np.array_equal(margins, np.stack([m1, m2]))
+
+
+@pytest.mark.parametrize("optimizer,step_size", [("rmsprop", 0.01), ("sgd", 0.02)])
+def test_a_retired_row_keeps_its_candidates_up_to_its_first_break(optimizer, step_size):
+    # with retire, row i leaves every layer after the first step s that gives
+    # one of its layers a margin > 0: all its layers then hold what the
+    # ascent with s steps holds, which evaluates the same candidates.  Class
+    # 4 copies class 3's weights, so a row labelled 3 has margin exactly 0
+    # towards 4 at every point, which must not retire it.
+    k, n = 5, 200
+    spec = ModelSpec("mlp", 3, k, (8,))
+    rng = np.random.default_rng(7)
+    params = {"w0": rng.normal(size=(3, 8)), "b0": rng.normal(size=8) * 0.5,
+              "w1": rng.normal(size=(8, k)), "b1": rng.normal(size=k) * 0.5}
+    params["w1"][:, 4], params["b1"][4] = params["w1"][:, 3], params["b1"][3]
+    X = rng.uniform(size=(n, 3))
+    y = np.argmax(forward_logits(spec, params, X).data, axis=1)  # 3, never 4, on ties
+    targets = wrong_classes(y, k)[:, 1:4].T  # layer 2 of a row labelled 3 targets 4
+    cfg = AttackConfig(epsilon=0.2, steps=8, optimizer=optimizer, step_size=step_size,
+                       seed=2)
+    stack = np.broadcast_to(X, (3, n, 3))
+    etas, margins = targeted_ascent_batch(spec, params, stack, y, targets, cfg, retire=True)
+    runs = [targeted_ascent_batch(spec, params, stack, y, targets, replace(cfg, steps=s))
+            for s in range(1, cfg.steps + 1)]
+    broke = np.array([(m > 0).any(axis=0) for _, m in runs])  # [steps, rows]
+    first = np.where(broke.any(axis=0), broke.argmax(axis=0), cfg.steps - 1)
+    checked = first > 0  # a break in one step may be the start's or the iterate's
+    for i in np.flatnonzero(checked):
+        ref_etas, ref_margins = runs[first[i]]
+        assert np.array_equal(etas[:, i], ref_etas[:, i])
+        assert np.array_equal(margins[:, i], ref_margins[:, i])
+    assert np.array_equal((margins > 0).any(axis=0), broke[-1])
+    # the check saw rows that break late, rows that never break, and ties
+    assert (checked & broke[-1]).sum() >= 10 and (~broke[-1]).sum() >= 10
+    assert (margins[2, y == 3] == 0).sum() >= 10
 
 
 def test_batch_attacks_accept_an_empty_batch():

@@ -1,13 +1,15 @@
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from marginlab import attacks, training
-from marginlab.attacks import AttackConfig, beta_attack_batch
+from marginlab.attacks import AttackConfig, beta_attack_batch, wrong_classes
 from marginlab.data import TRAIN, DatasetSpec, Dataset, generate_dataset
-from marginlab.models import ModelSpec, init_params, linear_model, predict
+from marginlab.models import (ModelSpec, forward_logits, init_params, linear_model,
+                              predict)
 from marginlab.objectives import cross_entropy
 from marginlab.tensor import Tensor
 from marginlab.training import (TrainConfig, accuracy, evaluate_robust,
@@ -186,44 +188,99 @@ def erm_model(k, hidden, n=600):
     return spec, run.selection.last.params, data
 
 
+def _robust_equals_the_full_fold(spec, params, data, cfgs):
+    """evaluate_robust's beta score per cfg, checked against the full fold."""
+    correct = predict(spec, params, data.X) == data.y
+    scores = []
+    for cfg in cfgs:
+        etas = beta_attack_batch(spec, params, data.X, data.y, cfg)[0]
+        full = np.mean(correct & (predict(spec, params, data.X + etas) == data.y))
+        scores.append(evaluate_robust(spec, params, data, "beta", cfg)["robust"])
+        assert scores[-1] == full
+    return scores
+
+
 @pytest.mark.parametrize("k", [2, 3, 10])
 @pytest.mark.parametrize("hidden", [(), (64,)], ids=["linear", "mlp"])
 def test_beta_early_exit_accuracy_equals_the_full_fold(hidden, k):
     # 600 rows stack 5 linear slots per group, and MLP-64 slots once rows
-    # leave, so rows drop out between groups and the rest regroup
+    # leave, so rows drop out between groups and the rest regroup.  With the
+    # last two classes' weights and biases tied, their margin is exactly 0
+    # everywhere; with no steps only the clean point is a candidate.
     spec, params, data = erm_model(k, hidden)
-    correct = predict(spec, params, data.X) == data.y
+    tie = [*range(k - 1), k - 2]
+    w, b = f"w{len(hidden)}", f"b{len(hidden)}"
+    tied = {**params, w: params[w][:, tie], b: params[b][tie]}
     for norm, box, eps in itertools.product(("l_inf", "l2"), (True, False),
                                             (0.02, 0.08, 0.3)):
         cfg = AttackConfig(epsilon=eps, norm=norm, steps=5, box=box, seed=3)
-        etas = beta_attack_batch(spec, params, data.X, data.y, cfg)[0]
-        full = np.mean(correct & (predict(spec, params, data.X + etas) == data.y))
-        assert evaluate_robust(spec, params, data, "beta", cfg)["robust"] == full
+        for model in (params, tied):
+            _robust_equals_the_full_fold(spec, model, data,
+                                         (cfg, replace(cfg, steps=0)))
+
+
+def test_beta_early_exit_accuracy_equals_the_full_fold_at_784d():
+    # MLP-256 at K=10, the benchmark's shape: margins of a row subset may
+    # move in their last bits with the row count, verdicts must not
+    rng = np.random.default_rng(16)
+    spec = ModelSpec("mlp", 784, 10, (256,))
+    params = init_params(spec, 5)
+    X = rng.uniform(size=(200, 784))
+    data = Dataset(X, predict(spec, params, X))  # every row correct at x
+    robust = _robust_equals_the_full_fold(spec, params, data, [
+        AttackConfig(epsilon=eps, steps=3, seed=4) for eps in (0.002, 0.005, 0.01)])
+    assert 0 < min(robust) and max(robust) < 1 and len(set(robust)) == 3
 
 
 def test_beta_early_exit_attacks_only_rows_still_robust(monkeypatch):
-    # a row misclassified at x never reaches targeted_ascent_batch, and a
-    # row that a group breaks is absent from every later group
+    # a row misclassified at x never reaches targeted_ascent_batch, a row
+    # that a group breaks is absent from every later group, each row's
+    # K-1 ranks are run once, and its first target is its most confusable
+    # class: the largest clean logit but its own, the lower class on ties
+    # (class 9 takes the weights and bias of the class most often most
+    # confusable, c, so c comes first)
     spec, params, data = erm_model(10, (64,))
-    correct = predict(spec, params, data.X) == data.y
+
+    def wrong_logits(params):  # (logits with each row's own class at -inf, correct)
+        logits = forward_logits(spec, params, data.X).data
+        correct = np.argmax(logits, axis=1) == data.y
+        logits[np.arange(len(data)), data.y] = -np.inf
+        return logits, correct
+    logits, correct = wrong_logits(params)
+    c = np.bincount(np.argmax(logits[correct], axis=1), minlength=10)[:9].argmax()
+    tie = [*range(9), c]
+    params = {**params, "w1": params["w1"][:, tie], "b1": params["b1"][tie]}
+    logits, correct = wrong_logits(params)
+    where = {x.tobytes(): i for i, x in enumerate(data.X)}
     calls, targeted = [], attacks.targeted_ascent_batch
 
-    def recording(spec, params, X, y, targets, cfg, seed=None, live=None):
-        assert np.array_equal(X, np.tile(data.X[live], (len(seed), 1)))
-        etas, margins = targeted(spec, params, X, y, targets, cfg, seed=seed, live=live)
-        calls.append((live.copy(), len(seed), margins))
+    def recording(spec, params, X, y, targets, cfg, **kwargs):
+        assert kwargs["retire"] and all(np.array_equal(layer, X[0]) for layer in X)
+        rows = np.array([where[x.tobytes()] for x in X[0]], dtype=np.intp)
+        assert np.array_equal(y, data.y[rows])
+        etas, margins = targeted(spec, params, X, y, targets, cfg, **kwargs)
+        calls.append((rows, targets, margins))
         return etas, margins
     monkeypatch.setattr(attacks, "targeted_ascent_batch", recording)
     evaluate_robust(spec, params, data, "beta",
                     AttackConfig(epsilon=0.2, steps=5, seed=3))
-    assert np.array_equal(calls[0][0], correct) and not correct.all()
-    assert sum(m for _, m, _ in calls) == 9
-    for (live, m, margins), (later, _, _) in zip(calls, calls[1:]):
-        left = live.copy()
-        left[np.flatnonzero(live)[(margins.reshape(m, -1) > 0).any(axis=0)]] = False
-        assert np.array_equal(later, left)
-    assert calls[-1][0].sum() < calls[0][0].sum()
-    assert max(m for _, m, _ in calls[1:]) > calls[0][1]  # fewer rows, larger groups
+    rows, targets, _ = calls[0]
+    assert np.array_equal(rows, np.flatnonzero(correct)) and not correct.all()
+    assert np.array_equal(targets[0], np.argmax(logits[rows], axis=1))
+    assert (targets[0] == c).sum() >= 5
+    assert sum(len(t) for _, t, _ in calls) == 9
+    for (rows, _, margins), (later, _, _) in zip(calls, calls[1:]):
+        assert np.array_equal(later, rows[~(margins > 0).any(axis=0)])
+    assert len(calls[-1][0]) < len(calls[0][0])
+    assert max(len(t) for _, t, _ in calls[1:]) > len(calls[0][1])  # fewer rows, larger groups
+    targets = np.full((len(data), 9), -1)
+    first = 0
+    for rows, t, _ in calls:  # each row's targets over its ranks: distinct wrong classes
+        targets[rows, first:first + len(t)] = t.T
+        first += len(t)
+    ran = targets[:, -1] >= 0
+    assert np.array_equal(np.sort(targets[ran], axis=1),
+                          wrong_classes(data.y[ran], 10))
 
 
 def test_monitor_forwards_each_split_clean_once(monkeypatch):
