@@ -191,7 +191,10 @@ def _slot_draws(seed, cfg: AttackConfig, shape):
     stream(*_key(seed, cfg, slot_of[l, j])).random(shape[1:]), with its bits,
     whatever was drawn before.  A batch of at most _GROUP_ELEMS numbers keeps
     every slot's whole draw; for a larger one each slot's generator is built
-    once, restarted from its saved state and its rows gathered."""
+    once, restarted from its saved state and its rows gathered.  Gathering
+    at every size costs a small batch a restore and a gather per slot in
+    each layer: on the 2-D desk benchmark (2 vCPUs) that read eval_s.beta
+    1.26x and epoch_s.beta_at 1.24x, slower in 8 of 8 pairs."""
     n_slots, n, d = shape
     if n * d <= _GROUP_ELEMS:  # at most 2.4 MB for 10 classes; one fancy index a group
         kept = np.empty(shape)
@@ -223,6 +226,14 @@ def _slot_draws(seed, cfg: AttackConfig, shape):
 # -- projected ascent, per-class margin ascent ---------------------------------
 
 
+def _take_rows(X, rows):
+    """X.take(rows, -2); a stack whose layers are one broadcast batch stays
+    a broadcast view of that batch's rows, not an m-fold copy."""
+    if X.ndim == 3 and X.strides[0] == 0:
+        return np.broadcast_to(X[0].take(rows, 0), (len(X), len(rows), X.shape[-1]))
+    return X.take(rows, -2)
+
+
 def _ascend(spec, params, X, cfg, start, objective, optimizer, best_vals,
             retire=None):
     """Projected ascent on a per-row objective(logits[..., n, K]) -> (values
@@ -241,10 +252,18 @@ def _ascend(spec, params, X, cfg, start, objective, optimizer, best_vals,
     """
     best_pts, gone = X.copy(), []  # gone: (rows, etas, values) of rows that left
 
+    d = X.shape[-1]
+
     def keep(pts, vals):
         improved = vals > best_vals
-        best_vals[improved] = vals[improved]
-        best_pts[improved] = pts[improved]
+        # a masked copy costs the same however few rows improve, a row
+        # copied by index about 64 + d masked numbers: index only when few
+        if 2 * np.count_nonzero(improved) * (d + 64) < improved.size * d:
+            best_vals[improved] = vals[improved]
+            best_pts[improved] = pts[improved]
+        else:
+            np.copyto(best_vals, vals, where=improved)
+            np.copyto(best_pts, pts, where=improved[..., None])
 
     if cfg.epsilon > 0 and cfg.steps > 0:
         bounds = _linf_bounds(X, cfg)
@@ -265,14 +284,14 @@ def _ascend(spec, params, X, cfg, start, objective, optimizer, best_vals,
             if hot.any():
                 left = hot.reshape(-1, len(rows)).any(axis=0)
                 out, stay = np.flatnonzero(left), np.flatnonzero(~left)
-                gone.append((rows[out], best_pts.take(out, -2) - X.take(out, -2),
+                gone.append((rows[out], best_pts.take(out, -2) - _take_rows(X, out),
                              best_vals.take(out, -1)))
                 # one copy at a time, each source freed as it is replaced
-                cache = bounds = None
-                X = X.take(stay, -2)
+                cache = None
+                X = _take_rows(X, stay)
                 pts = pts.take(stay, -2)
                 best_pts = best_pts.take(stay, -2)
-                bounds = _linf_bounds(X, cfg)
+                bounds = tuple(b.take(stay, -2) for b in bounds)
                 for key in opt.slots:
                     opt.slots[key] = opt.slots[key].take(stay, -2)
                 best_vals, rows = best_vals.take(stay, -1), rows[stay]
