@@ -22,8 +22,13 @@ results are bit-identical to one slot at a time.  Under live a row leaves
 on the first ascent step that gives one of its pairs a margin > 0, since its
 verdict is then known, and a row wrong at x is never attacked; as rows leave,
 the row count of a matmul changes, which can move a 784-d margin in its last
-bits but no verdict.  Given a slots array, the loop also hands back every
-slot's etas, which sbeta_at's defender weighs.
+bits but no verdict.  After the first group, live also retires every row
+that _certified proves no feasible point can break: a linear relaxation of
+each ReLU (Wong & Kolter 2018, CROWN) bounds every wrong-class margin below
+0 over the whole set, at about one backward pass per slot.  It is exact for
+linear models, covers one hidden layer, and certifies nothing deeper.
+Given a slots array, the loop also hands back every slot's etas, which
+sbeta_at's defender weighs.
 No attack builds an autodiff graph: the loop, FGSM, the grid oracles and
 single-sample results run the models.forward/backward kernel on per-row
 (values, gradient) objectives, with the graph's bits.
@@ -374,9 +379,79 @@ def targeted_margin_ascent(spec: ModelSpec, params: dict, x, y: int,
     return etas[0], float(margins[0])
 
 
+# rows per chunk of the certificate: [rows*(K-1), max(d, H)] coefficients
+# of at most this many numbers (8 MB)
+_CERT_ELEMS = 2 ** 20
+
+
+def _certified(spec, params, X, y, cfg: AttackConfig):
+    """bool[n]: the rows of X that no feasible point can break, proved by the
+    linear relaxation of Wong & Kolter 2018 and CROWN (Zhang et al. 2018).
+
+    The pre-activations of a hidden layer are bounded exactly over the l_inf
+    box _linf_bounds(X, cfg), or over the l2 ball (the box ignored: it only
+    shrinks the set).  Each unstable ReLU, lower < 0 < upper, is bounded
+    above by its chord where the margin's coefficient is >= 0 and below by
+    0 or z (the line nearer the ReLU) where it is < 0, so each wrong class's
+    margin gets a bound linear in the input, maximised in closed form over
+    the set.  A linear model's bound is its exact maximum; a model of two or
+    more hidden layers certifies nothing.  A row counts only if every bound
+    is < -1e-9 * (1 + the magnitudes of the two logits' terms), which
+    dominates the float64 rounding of the bound and of the forward pass, so
+    a row with a margin of exactly 0 anywhere (tied classes) never counts.
+    """
+    n, k = len(X), spec.class_count
+    if len(spec.hidden) > 1:
+        return np.zeros(n, bool)
+    w, b = params[f"w{len(spec.hidden)}"], params[f"b{len(spec.hidden)}"]
+    if cfg.norm == "l_inf":
+        lo, hi = _linf_bounds(X, cfg)
+        base, rad = (lo + hi) * 0.5, (hi - lo) * 0.5
+        reach = np.abs(base).max(axis=1) + rad.max(axis=1)  # >= |x'| anywhere
+    else:
+        base, rad = X, None
+        reach = np.abs(base).max(axis=1) + cfg.epsilon
+    # size[n, K] >= the sum of |terms| of each logit at any feasible point
+    if spec.hidden:
+        w0, b0 = params["w0"], params["b0"]
+        z = base @ w0 + b0
+        r = (cfg.epsilon * np.linalg.norm(w0, axis=0) if rad is None
+             else rad @ np.abs(w0))
+        lower, upper = z - r, z + r
+        unstable = (lower < 0) & (upper > 0)
+        chord = np.divide(upper, upper - lower, out=(lower >= 0) * 1.0, where=unstable)
+        line = (lower >= 0) | unstable & (upper >= -lower)  # lower line: z (1) or 0
+        shift = np.where(unstable, -lower, 0.0)  # upper line: chord * (z + shift)
+        size = (np.outer(reach, np.abs(w0).sum(axis=0)) + np.abs(b0)) @ np.abs(w)
+    else:
+        z = base
+        size = np.outer(reach, np.abs(w).sum(axis=0))
+    size += np.abs(b)
+    wrong, rows = wrong_classes(y, k), np.arange(n)[:, None]
+    tol = 1e-9 * (1 + size[rows, wrong] + size[rows, y[:, None]])
+    out = np.empty(n, bool)
+    step = max(1, _CERT_ELEMS // ((k - 1) * max(z.shape[1], X.shape[1])))
+    for s in range(0, n, step):
+        i = slice(s, s + step)
+        a = w.T[wrong[i]]  # [rows, K-1, H]: margin = a . h + db
+        a -= w.T[y[i]][:, None]
+        bound = b[wrong[i]] - b[y[i]][:, None]
+        if spec.hidden:
+            a *= np.where(a >= 0, chord[i, None], line[i, None])
+            bound += (np.maximum(a, 0) @ shift[i, :, None])[..., 0]
+            coef = (a.reshape(-1, a.shape[2]) @ w0.T).reshape(*a.shape[:2], -1)
+        else:
+            coef = a
+        bound += (a @ z[i, :, None])[..., 0]
+        bound += (cfg.epsilon * np.linalg.norm(coef, axis=2) if rad is None
+                  else (np.abs(coef, out=coef) @ rad[i, :, None])[..., 0])
+        out[i] = (bound < -tol[i]).all(axis=1)
+    return out
+
+
 def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
                       y: np.ndarray, cfg: AttackConfig, seed=None, live=None,
-                      slots=None):
+                      slots=None, logits=None):
     """Per-class margin ascent for every wrong class, then the best class:
     (etas[n,d], j_stars[n], margins[n]), the lowest class on equal margins.
     The one loop over BETA's slots: slot s of row i targets column s of
@@ -387,18 +462,22 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     run in groups of (row, slot) pairs, one targeted_ascent_batch call each,
     while m*rows*max(d, hidden..., K) <= _GROUP_ELEMS; without live this has
     exactly the bits of one call per slot.  The clean logits are computed
-    once.  A mask live attacks only its rows and retires each row after the
-    first ascent step that gives one of its pairs a margin > 0: it returns
-    that step's best candidate, and rows never attacked keep eta 0, j* 0 and
-    margin -inf.  An array slots[K-1,n,d] receives each slot's etas at the
-    rows it attacks."""
+    once, or passed as logits[n,K].  A mask live attacks only its rows and
+    retires each row after the first ascent step that gives one of its pairs
+    a margin > 0: it returns that step's best candidate, and rows never
+    attacked keep eta 0, j* 0 and margin -inf.  After the first group, live
+    also retires every row _certified proves unbreakable: it keeps that
+    group's best candidate, its margin <= 0 (nothing at all for a model of
+    two or more hidden layers).  An array slots[K-1,n,d] receives each
+    slot's etas at the rows it attacks."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
     (n, d), k = X.shape, spec.class_count
     check_classes(k, y)
     wrong = wrong_classes(y, k)
     best = (np.zeros(X.shape), np.zeros(n, np.intp), np.full(n, -np.inf))
-    logits, rows = forward(spec, params, X)[0], np.arange(n)
+    logits = forward(spec, params, X)[0] if logits is None else logits
+    rows = np.arange(n)
     clean = logits[rows[:, None], wrong] - logits[rows, y][:, None]  # [n, K-1] margins
     order = (np.broadcast_to(np.arange(k - 1), clean.shape) if live is None
              else np.argsort(-clean, axis=1, kind="stable"))
@@ -428,6 +507,9 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
             kept[at[better]] = value[layer[better], cols[better]]
         if live is not None:
             live[at[(margins > 0).any(axis=0)]] = False
+            if not first and m < k - 1:
+                at = np.flatnonzero(live)
+                live[at[_certified(spec, params, X[at], y[at], cfg)]] = False
         first += m
     return best
 
@@ -468,15 +550,16 @@ def fgsm(spec: ModelSpec, params: dict, x, y: int,
 
 
 def pgd_surrogate_batch(spec: ModelSpec, params: dict, X: np.ndarray,
-                        y: np.ndarray, cfg: AttackConfig, seed=None):
+                        y: np.ndarray, cfg: AttackConfig, seed=None, logits=None):
     """Projected ascent on cross-entropy with a random start; returns etas.
 
     Rows misclassified at the clean point keep eta=0; the others return the
-    highest-loss candidate evaluated.
+    highest-loss candidate evaluated.  logits[n,K], the clean logits when
+    the caller has them, saves their forward pass.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
-    clean_logits = forward(spec, params, X)[0]
+    clean_logits = forward(spec, params, X)[0] if logits is None else logits
     etas, _ = _ascend(
         spec, params, X, cfg,
         lambda bounds: _uniform_start(

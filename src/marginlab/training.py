@@ -111,18 +111,24 @@ def evaluate_robust(spec: ModelSpec, params: dict, data: Dataset,
     """Clean accuracy and the fraction of rows correct both at x and at the
     attacked point x + eta (for grid_oracle: not broken anywhere on the
     grid); the random starts draw from seed, or from cfg.seed when None.
+    The clean logits are computed once and handed to pgd and beta.
     beta exits early, so in eval, attack and the monitor alike: it calls
     beta_attack_batch with live=correct, which tries each row's most
     confusable class first and retires a row on the first ascent step that
     gives one of its slots a margin > 0 (it returns that step's best
-    candidate; only its margin > 0 is read here).  Rows no slot breaks are
-    scored at their best eta over all K-1 slots."""
+    candidate; only its margin > 0 is read here).  After that first rank it
+    also retires every row the linear-relaxation certificate proves robust
+    on the whole feasible set: such a row keeps its first candidate, which
+    the certificate guarantees is classified correctly.  Rows neither broken
+    nor certified are scored at their best eta over all K-1 slots; the
+    score equals the full fold's."""
     if attack_kind not in ATTACK_KINDS:
         raise ValueError(f"unknown attack kind {attack_kind!r}")
     _check_labels(spec, "dataset", data)
     if len(data) == 0:
         return {"clean": float("nan"), "robust": float("nan")}
-    correct = predict(spec, params, data.X) == data.y
+    logits = forward(spec, params, data.X)[0]  # predict's, handed to pgd and beta
+    correct = np.argmax(logits, axis=1) == data.y
     if cfg.epsilon == 0:
         survived = correct
     elif attack_kind == "grid_oracle":
@@ -134,10 +140,12 @@ def evaluate_robust(spec: ModelSpec, params: dict, data: Dataset,
         if attack_kind == "fgsm":
             etas = fgsm_batch(spec, params, data.X, data.y, cfg)
         elif attack_kind == "pgd":
-            etas = pgd_surrogate_batch(spec, params, data.X, data.y, cfg, seed=seed)
-        else:  # early exit: a row a slot breaks leaves with its margin > 0
+            etas = pgd_surrogate_batch(spec, params, data.X, data.y, cfg, seed=seed,
+                                       logits=logits)
+        else:  # early exit: a row broken leaves with its margin > 0, a row
+            # certified with its margin <= 0
             etas, _, margins = beta_attack_batch(spec, params, data.X, data.y, cfg,
-                                                 seed=seed, live=correct)
+                                                 seed=seed, live=correct, logits=logits)
             live = correct & ~(margins > 0)
         survived = live & (predict(spec, params, data.X + etas) == data.y)
     return {"clean": float(np.mean(correct)), "robust": float(np.mean(survived))}

@@ -1,9 +1,11 @@
+import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from marginlab.attacks import (AttackConfig, _gather, _key, _linf_bounds,
+from marginlab.attacks import (AttackConfig, _certified, _gather, _key, _linf_bounds,
                                _slot_draws, _uniform_start, beta_attack,
                                beta_attack_batch,
                                closed_form_linear_attack, fgsm, fgsm_batch,
@@ -12,9 +14,11 @@ from marginlab.attacks import (AttackConfig, _gather, _key, _linf_bounds,
                                pgd_surrogate_batch, project, resolve_step_size,
                                targeted_ascent_batch, targeted_margin_ascent,
                                wrong_classes)
-from marginlab.data import EVAL, stream
-from marginlab.models import ModelSpec, forward_logits, init_params, linear_model
+from marginlab.data import EVAL, DatasetSpec, generate_dataset, stream
+from marginlab.models import (ModelSpec, forward_logits, init_params, linear_model,
+                              predict)
 from marginlab.objectives import zero_one_error
+from marginlab.training import TrainConfig, run_training
 
 CE_WEIGHT = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.0]])
 CE_BIAS = np.zeros(3)
@@ -462,6 +466,51 @@ def test_a_retired_row_keeps_its_candidates_up_to_its_first_break(optimizer, ste
     # the check saw rows that break late, rows that never break, and ties
     assert (checked & broke[-1]).sum() >= 10 and (~broke[-1]).sum() >= 10
     assert (margins[2, y == 3] == 0).sum() >= 10
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+@pytest.mark.parametrize("hidden", [(), (16,)], ids=["linear", "mlp"])
+def test_certified_rows_have_no_misclassified_grid_point(hidden, k):
+    # the relaxation is sound: no point of a grid over the feasible set
+    # breaks a certified row, and most rows certify at the smallest eps.  A
+    # linear model's bound is exact, so under l_inf, where the corners of
+    # the set are grid points, it certifies exactly the rows whose grid
+    # margin is < 0 (rows within 1e-6 of 0 aside).  A class tied with
+    # another has a margin of exactly 0 everywhere and certifies nothing.
+    data = generate_dataset(DatasetSpec("gaussian_blobs", 200, k, 0.15, k))
+    spec = ModelSpec("mlp" if hidden else "linear", 2, k, hidden)
+    params = run_training(spec, data, TrainConfig("erm", epochs=3, lr=0.5, seed=1)
+                          ).selection.last.params
+    X = data.X[:100]
+    y = predict(spec, params, X)
+    w, b = f"w{len(hidden)}", f"b{len(hidden)}"
+    tie = [*range(k - 1), k - 2]
+    tied = {**params, w: params[w][:, tie], b: params[b][tie]}
+    for norm, box, eps in itertools.product(("l_inf", "l2"), (True, False),
+                                            (0.01, 0.05, 0.2)):
+        cfg = AttackConfig(epsilon=eps, norm=norm, box=box)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            certified = _certified(spec, params, X, y, cfg)
+            assert not _certified(spec, tied, X, np.full(len(X), k - 2), cfg).any()
+        grid = [grid_oracle_attack(spec, params, x, t, eps, 15, norm, box)
+                for x, t in zip(X, y)]
+        assert not any(g.success for g, c in zip(grid, certified) if c)
+        if eps == 0.01:
+            assert certified.mean() > 0.5
+        if not hidden and norm == "l_inf":
+            margin = np.array([g.margin_value for g in grid])
+            clear = np.abs(margin) > 1e-6
+            assert np.array_equal(certified[clear], margin[clear] < 0)
+
+
+def test_a_deeper_mlp_certifies_nothing():
+    # the relaxation covers one hidden layer; a deeper model attacks every row
+    spec = ModelSpec("mlp", 2, 3, (8, 8))
+    params = init_params(spec, 0)
+    X = np.random.default_rng(0).uniform(size=(50, 2))
+    assert not _certified(spec, params, X, predict(spec, params, X),
+                          AttackConfig(epsilon=1e-6)).any()
 
 
 def test_batch_attacks_accept_an_empty_batch():

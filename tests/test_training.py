@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from marginlab import attacks, training
-from marginlab.attacks import AttackConfig, beta_attack_batch, wrong_classes
+from marginlab.attacks import (AttackConfig, beta_attack_batch, grid_oracle_attack,
+                               wrong_classes)
 from marginlab.data import TRAIN, DatasetSpec, Dataset, generate_dataset
 from marginlab.models import (ModelSpec, forward_logits, init_params, linear_model,
                               predict)
@@ -188,25 +189,37 @@ def erm_model(k, hidden, n=600):
     return spec, run.selection.last.params, data
 
 
-def _robust_equals_the_full_fold(spec, params, data, cfgs):
-    """evaluate_robust's beta score per cfg, checked against the full fold."""
+def _robust_equals_the_full_fold(monkeypatch, spec, params, data, cfgs):
+    """(evaluate_robust's beta score, rows _certified retired) per cfg, the
+    score checked against the full fold."""
     correct = predict(spec, params, data.X) == data.y
+    certified, retired = attacks._certified, []
+
+    def recording(*args):
+        out = certified(*args)
+        retired[-1] += int(out.sum())
+        return out
+    monkeypatch.setattr(attacks, "_certified", recording)
     scores = []
     for cfg in cfgs:
         etas = beta_attack_batch(spec, params, data.X, data.y, cfg)[0]
         full = np.mean(correct & (predict(spec, params, data.X + etas) == data.y))
+        retired.append(0)
         scores.append(evaluate_robust(spec, params, data, "beta", cfg)["robust"])
         assert scores[-1] == full
-    return scores
+    return scores, retired
 
 
 @pytest.mark.parametrize("k", [2, 3, 10])
 @pytest.mark.parametrize("hidden", [(), (64,)], ids=["linear", "mlp"])
-def test_beta_early_exit_accuracy_equals_the_full_fold(hidden, k):
+def test_beta_early_exit_accuracy_equals_the_full_fold(monkeypatch, hidden, k):
     # 600 rows stack 5 linear slots per group, and MLP-64 slots once rows
     # leave, so rows drop out between groups and the rest regroup.  With the
     # last two classes' weights and biases tied, their margin is exactly 0
-    # everywhere; with no steps only the clean point is a candidate.
+    # everywhere; with no steps only the clean point is a candidate.  The
+    # certificate runs when group 0 leaves ranks to run, here for MLP-64 at
+    # K > 2 (every linear rank fits in group 0), and retires rows at the
+    # smallest eps.
     spec, params, data = erm_model(k, hidden)
     tie = [*range(k - 1), k - 2]
     w, b = f"w{len(hidden)}", f"b{len(hidden)}"
@@ -215,30 +228,37 @@ def test_beta_early_exit_accuracy_equals_the_full_fold(hidden, k):
                                             (0.02, 0.08, 0.3)):
         cfg = AttackConfig(epsilon=eps, norm=norm, steps=5, box=box, seed=3)
         for model in (params, tied):
-            _robust_equals_the_full_fold(spec, model, data,
-                                         (cfg, replace(cfg, steps=0)))
+            _, retired = _robust_equals_the_full_fold(monkeypatch, spec, model, data,
+                                                      (cfg, replace(cfg, steps=0)))
+            if eps == 0.02 and model is params:
+                assert (min(retired) > 0) == (bool(hidden) and k > 2)
 
 
-def test_beta_early_exit_accuracy_equals_the_full_fold_at_784d():
+def test_beta_early_exit_accuracy_equals_the_full_fold_at_784d(monkeypatch):
     # MLP-256 at K=10, the benchmark's shape: margins of a row subset may
-    # move in their last bits with the row count, verdicts must not
+    # move in their last bits with the row count, verdicts must not; the
+    # certificate retires rows at the smallest eps
     rng = np.random.default_rng(16)
     spec = ModelSpec("mlp", 784, 10, (256,))
     params = init_params(spec, 5)
     X = rng.uniform(size=(200, 784))
     data = Dataset(X, predict(spec, params, X))  # every row correct at x
-    robust = _robust_equals_the_full_fold(spec, params, data, [
+    robust, retired = _robust_equals_the_full_fold(monkeypatch, spec, params, data, [
         AttackConfig(epsilon=eps, steps=3, seed=4) for eps in (0.002, 0.005, 0.01)])
     assert 0 < min(robust) and max(robust) < 1 and len(set(robust)) == 3
+    assert retired[0] > 0
 
 
 def test_beta_early_exit_attacks_only_rows_still_robust(monkeypatch):
-    # a row misclassified at x never reaches targeted_ascent_batch, a row
-    # that a group breaks is absent from every later group, each row's
-    # K-1 ranks are run once, and its first target is its most confusable
-    # class: the largest clean logit but its own, the lower class on ties
-    # (class 9 takes the weights and bias of the class most often most
-    # confusable, c, so c comes first)
+    # a row misclassified at x never reaches targeted_ascent_batch; its
+    # first target is its most confusable class: the largest clean logit but
+    # its own, the lower class on ties (class 9 takes the weights and bias of
+    # the class most often most confusable, c, so c comes first).  After
+    # group 0 the later groups hold exactly the rows it neither broke nor
+    # _certified proved; after that a row a group breaks is absent from
+    # every later group; each rank is run once, and a row that stays to the
+    # end covers its K-1 classes once.  No grid point breaks a row that
+    # left unbroken.
     spec, params, data = erm_model(10, (64,))
 
     def wrong_logits(params):  # (logits with each row's own class at -inf, correct)
@@ -252,27 +272,43 @@ def test_beta_early_exit_attacks_only_rows_still_robust(monkeypatch):
     params = {**params, "w1": params["w1"][:, tie], "b1": params["b1"][tie]}
     logits, correct = wrong_logits(params)
     where = {x.tobytes(): i for i, x in enumerate(data.X)}
-    calls, targeted = [], attacks.targeted_ascent_batch
+    calls, proofs = [], []
+    targeted, certified = attacks.targeted_ascent_batch, attacks._certified
+
+    def rows_of(X):
+        return np.array([where[x.tobytes()] for x in X], dtype=np.intp)
 
     def recording(spec, params, X, y, targets, cfg, **kwargs):
         assert kwargs["retire"] and all(np.array_equal(layer, X[0]) for layer in X)
-        rows = np.array([where[x.tobytes()] for x in X[0]], dtype=np.intp)
+        rows = rows_of(X[0])
         assert np.array_equal(y, data.y[rows])
         etas, margins = targeted(spec, params, X, y, targets, cfg, **kwargs)
         calls.append((rows, targets, margins))
         return etas, margins
+
+    def recording_certified(spec, params, X, y, cfg):
+        out = certified(spec, params, X, y, cfg)
+        proofs.append((rows_of(X), out))
+        return out
     monkeypatch.setattr(attacks, "targeted_ascent_batch", recording)
-    evaluate_robust(spec, params, data, "beta",
-                    AttackConfig(epsilon=0.2, steps=5, seed=3))
-    rows, targets, _ = calls[0]
+    monkeypatch.setattr(attacks, "_certified", recording_certified)
+    eps = 0.2
+    evaluate_robust(spec, params, data, "beta", AttackConfig(epsilon=eps, steps=5, seed=3))
+    rows, targets, margins = calls[0]
     assert np.array_equal(rows, np.flatnonzero(correct)) and not correct.all()
     assert np.array_equal(targets[0], np.argmax(logits[rows], axis=1))
     assert (targets[0] == c).sum() >= 5
     assert sum(len(t) for _, t, _ in calls) == 9
-    for (rows, _, margins), (later, _, _) in zip(calls, calls[1:]):
+    (checked, proved), = proofs  # once, on the rows group 0 left
+    assert np.array_equal(checked, rows[~(margins > 0).any(axis=0)])
+    assert 0 < proved.sum() < len(checked)
+    assert np.array_equal(calls[1][0], checked[~proved])
+    for (rows, _, margins), (later, _, _) in zip(calls[1:], calls[2:]):
         assert np.array_equal(later, rows[~(margins > 0).any(axis=0)])
     assert len(calls[-1][0]) < len(calls[0][0])
     assert max(len(t) for _, t, _ in calls[1:]) > len(calls[0][1])  # fewer rows, larger groups
+    for i in checked[proved]:
+        assert not grid_oracle_attack(spec, params, data.X[i], data.y[i], eps, 20).success
     targets = np.full((len(data), 9), -1)
     first = 0
     for rows, t, _ in calls:  # each row's targets over its ranks: distinct wrong classes
@@ -284,28 +320,39 @@ def test_beta_early_exit_attacks_only_rows_still_robust(monkeypatch):
 
 
 def test_monitor_forwards_each_split_clean_once(monkeypatch):
-    # one attacked epoch: predict sees each split's clean X once, and the
-    # attacked points once
-    predict, train_val_split = training.predict, training.train_val_split
-    seen, splits = [], []
+    # one attacked epoch of pgd_at and of beta_at: each split's clean X runs
+    # through the model once, its logits handed to the attack, and predict
+    # sees the attacked points once
+    train_val_split = training.train_val_split
+    clean, attacked, splits = [], [], []
 
-    def recording_predict(spec, params, x):
-        seen.append(x)
-        return predict(spec, params, x)
+    def record(module, name, seen):
+        fn = getattr(module, name)
+
+        def recording(spec, params, x):
+            seen.append(x)
+            return fn(spec, params, x)
+        monkeypatch.setattr(module, name, recording)
 
     def recording_split(*args):
         out = train_val_split(*args)
         splits.extend(out)
         return out
-    monkeypatch.setattr(training, "predict", recording_predict)
+    record(training, "forward", clean)
+    record(attacks, "forward", clean)
+    record(training, "predict", attacked)
     monkeypatch.setattr(training, "train_val_split", recording_split)
     spec = ModelSpec("linear", 2, 3)
     test = blobs(n=30, seed=4)
-    run_training(spec, blobs(n=60), TrainConfig("pgd_at", epochs=1, seed=0,
-                                                attack=small_attack()), test)
-    for split in (*splits, test):
-        assert sum(x is split.X for x in seen) == 1
-    assert len(seen) == 6
+    for algorithm in ("pgd_at", "beta_at"):
+        for seen in (clean, attacked, splits):
+            seen.clear()
+        run_training(spec, blobs(n=60), TrainConfig(algorithm, epochs=1, seed=0,
+                                                    attack=small_attack()), test)
+        for split in (*splits, test):
+            assert sum(x is split.X for x in clean) == 1
+            assert not any(x is split.X for x in attacked)
+        assert len(attacked) == 3
 
 
 def test_margin_and_surrogate_training_attack_different_points():
@@ -363,9 +410,9 @@ def test_every_attack_stream_of_a_run_is_distinct(monkeypatch):
     # of every epoch draws its random start from a key of its own
     pgd, seeds = training.pgd_surrogate_batch, []
 
-    def recording_pgd(*args, seed):
+    def recording_pgd(*args, seed, **kwargs):
         seeds.append(seed)
-        return pgd(*args, seed=seed)
+        return pgd(*args, seed=seed, **kwargs)
     monkeypatch.setattr(training, "pgd_surrogate_batch", recording_pgd)
     run_training(ModelSpec("linear", 2, 3), blobs(n=1300),
                  TrainConfig("pgd_at", epochs=3, batch_size=1, lr=0.1, seed=1,
