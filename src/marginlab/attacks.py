@@ -22,11 +22,13 @@ results are bit-identical to one slot at a time.  Under live a row leaves
 on the first ascent step that gives one of its pairs a margin > 0, since its
 verdict is then known, and a row wrong at x is never attacked; as rows leave,
 the row count of a matmul changes, which can move a 784-d margin in its last
-bits but no verdict.  After the first group, live also retires every row
-that _certified proves no feasible point can break: a linear relaxation of
-each ReLU (Wong & Kolter 2018, CROWN) bounds every wrong-class margin below
-0 over the whole set, at about one backward pass per slot.  It is exact for
-linear models, covers one hidden layer, and certifies nothing deeper.
+bits but no verdict.  Once the first group's first iterate is scored, a
+linear relaxation of each ReLU (Wong & Kolter 2018, CROWN) bounds every
+margin of the rows still unbroken over the whole feasible set, at about one
+backward pass per slot (_margin_bounds).  A row whose bounds are all < 0 is
+certified and leaves; a later slot whose bound is below the row's best margin
+so far cannot change its fold, so it is dropped.  The bound is exact for
+linear models, covers one hidden layer, and settles nothing deeper.
 Given a slots array, the loop also hands back every slot's etas, which
 sbeta_at's defender weighs.
 No attack builds an autodiff graph: the loop, FGSM, the grid oracles and
@@ -240,7 +242,7 @@ def _take_rows(X, rows):
 
 
 def _ascend(spec, params, X, cfg, start, objective, optimizer, best_vals,
-            retire=None):
+            retire=None, certify=None):
     """Projected ascent on a per-row objective(logits[..., n, K]) -> (values
     [..., n], dvalues/dlogits) through models.forward/backward, from the start
     that start(_linf_bounds(X, cfg)) draws; the one loop behind every
@@ -253,7 +255,11 @@ def _ascend(spec, params, X, cfg, start, objective, optimizer, best_vals,
     value.  Each iterate's value comes from the forward pass built for its
     gradient.  Given retire(rows) -> the objective on those rows of X, a row
     leaves every layer after the first step that leaves one of its best
-    values > 0, with its best candidates so far.
+    values > 0, with its best candidates so far.  Given also certify(rows,
+    g) -> bool[len(rows)], it is called once, after the first iterate is
+    scored (so never with cfg.steps < 2), on the rows none of whose values
+    is > 0, with g their best value over the layers; the rows it marks
+    leave the same way.
     """
     best_pts, gone = X.copy(), []  # gone: (rows, etas, values) of rows that left
 
@@ -275,7 +281,8 @@ def _ascend(spec, params, X, cfg, start, objective, optimizer, best_vals,
         pts = start(bounds)
         opt = OptimState(cfg.optimizer or optimizer, resolve_step_size(cfg))
         rows = np.arange(X.shape[-2])  # the call's rows still ascending
-        for _ in range(cfg.steps):
+        layers = tuple(range(best_vals.ndim - 1))
+        for i in range(cfg.steps):
             logits, cache = forward(spec, params, pts)
             vals, dlogits = objective(logits)
             keep(pts, vals)
@@ -285,9 +292,12 @@ def _ascend(spec, params, X, cfg, start, objective, optimizer, best_vals,
                    else project(X, pts, cfg))
             if retire is None:
                 continue
-            hot = best_vals > 0  # only rows that broke on this step: the others left
-            if hot.any():
-                left = hot.reshape(-1, len(rows)).any(axis=0)
+            # only rows that broke on this step: the others left
+            left = (best_vals > 0).any(axis=layers)
+            if i == 1 and certify is not None:
+                open_ = np.flatnonzero(~left)
+                left[open_] = certify(rows[open_], best_vals.max(axis=layers)[open_])
+            if left.any():
                 out, stay = np.flatnonzero(left), np.flatnonzero(~left)
                 gone.append((rows[out], best_pts.take(out, -2) - _take_rows(X, out),
                              best_vals.take(out, -1)))
@@ -334,7 +344,8 @@ _GROUP_ELEMS = 2 ** 15
 
 def targeted_ascent_batch(spec: ModelSpec, params: dict, X: np.ndarray,
                           y: np.ndarray, targets: np.ndarray, cfg: AttackConfig,
-                          seed=None, draw=None, clean=None, retire=False):
+                          seed=None, draw=None, clean=None, retire=False,
+                          certify=None):
     """Projected ascent on logits[target] - logits[y] for a whole batch.
 
     X is a batch [n,d] with targets[n], or a stack [m,n,d] with one target
@@ -346,7 +357,9 @@ def targeted_ascent_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     stream key itself), or draw() gives those uniform draws; clean, the
     margins at X, saves their forward pass.  With retire, a row leaves every
     layer after the first step that gives one of its pairs a best margin
-    > 0, and keeps its best candidates up to that step.
+    > 0, and keeps its best candidates up to that step; certify(rows, g) ->
+    bool[len(rows)] also retires the rows it marks after the first iterate
+    (_ascend).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
@@ -367,7 +380,7 @@ def targeted_ascent_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     # drawn in _ascend, whose first step frees it
     return _ascend(spec, params, X, cfg,
                    lambda bounds: _uniform_start(X, bounds, cfg, draw()),
-                   objective, "rmsprop", clean, margin if retire else None)
+                   objective, "rmsprop", clean, margin if retire else None, certify)
 
 
 def targeted_margin_ascent(spec: ModelSpec, params: dict, x, y: int,
@@ -379,14 +392,19 @@ def targeted_margin_ascent(spec: ModelSpec, params: dict, x, y: int,
     return etas[0], float(margins[0])
 
 
-# rows per chunk of the certificate: [rows*(K-1), max(d, H)] coefficients
-# of at most this many numbers (8 MB)
-_CERT_ELEMS = 2 ** 20
+# rows per chunk of the bounds: [rows*(K-1), max(d, H)] coefficients of at
+# most this many numbers (2 MB).  They run inside an ascent, whose arrays are
+# still held: with 2**20 the 784-d MLP-256 training benchmark peaked at
+# 156-157 MB against 150.6 MB, and 2**18 bounds 482 of its rows as fast.
+_CERT_ELEMS = 2 ** 18
 
 
-def _certified(spec, params, X, y, cfg: AttackConfig):
-    """bool[n]: the rows of X that no feasible point can break, proved by the
-    linear relaxation of Wong & Kolter 2018 and CROWN (Zhang et al. 2018).
+def _margin_bounds(spec, params, X, y, cfg: AttackConfig):
+    """U[n, K-1]: for each row of X and wrong class, in slot order
+    (wrong_classes), a value that no margin logits[j] - logits[y] computed at
+    a feasible point reaches, from the linear relaxation of Wong & Kolter
+    2018 and CROWN (Zhang et al. 2018).  The row is certified, unbroken by
+    any feasible point, iff every U < 0.
 
     The pre-activations of a hidden layer are bounded exactly over the l_inf
     box _linf_bounds(X, cfg), or over the l2 ball (the box ignored: it only
@@ -394,15 +412,15 @@ def _certified(spec, params, X, y, cfg: AttackConfig):
     above by its chord where the margin's coefficient is >= 0 and below by
     0 or z (the line nearer the ReLU) where it is < 0, so each wrong class's
     margin gets a bound linear in the input, maximised in closed form over
-    the set.  A linear model's bound is its exact maximum; a model of two or
-    more hidden layers certifies nothing.  A row counts only if every bound
-    is < -1e-9 * (1 + the magnitudes of the two logits' terms), which
-    dominates the float64 rounding of the bound and of the forward pass, so
-    a row with a margin of exactly 0 anywhere (tied classes) never counts.
+    the set.  U is that bound + tau, tau = 1e-9 * (1 + the magnitudes of the
+    two logits' terms), which dominates the float64 rounding of the bound and
+    of the forward pass, so a margin of exactly 0 anywhere (tied classes)
+    has U > 0.  A linear model's bound is its exact maximum; a model of two
+    or more hidden layers gets U = +inf.
     """
     n, k = len(X), spec.class_count
     if len(spec.hidden) > 1:
-        return np.zeros(n, bool)
+        return np.full((n, k - 1), np.inf)
     w, b = params[f"w{len(spec.hidden)}"], params[f"b{len(spec.hidden)}"]
     if cfg.norm == "l_inf":
         lo, hi = _linf_bounds(X, cfg)
@@ -428,8 +446,7 @@ def _certified(spec, params, X, y, cfg: AttackConfig):
         size = np.outer(reach, np.abs(w).sum(axis=0))
     size += np.abs(b)
     wrong, rows = wrong_classes(y, k), np.arange(n)[:, None]
-    tol = 1e-9 * (1 + size[rows, wrong] + size[rows, y[:, None]])
-    out = np.empty(n, bool)
+    out = 1e-9 * (1 + size[rows, wrong] + size[rows, y[:, None]])  # tau
     step = max(1, _CERT_ELEMS // ((k - 1) * max(z.shape[1], X.shape[1])))
     for s in range(0, n, step):
         i = slice(s, s + step)
@@ -445,7 +462,7 @@ def _certified(spec, params, X, y, cfg: AttackConfig):
         bound += (a @ z[i, :, None])[..., 0]
         bound += (cfg.epsilon * np.linalg.norm(coef, axis=2) if rad is None
                   else (np.abs(coef, out=coef) @ rad[i, :, None])[..., 0])
-        out[i] = (bound < -tol[i]).all(axis=1)
+        out[i] += bound
     return out
 
 
@@ -465,11 +482,16 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     once, or passed as logits[n,K].  A mask live attacks only its rows and
     retires each row after the first ascent step that gives one of its pairs
     a margin > 0: it returns that step's best candidate, and rows never
-    attacked keep eta 0, j* 0 and margin -inf.  After the first group, live
-    also retires every row _certified proves unbreakable: it keeps that
-    group's best candidate, its margin <= 0 (nothing at all for a model of
-    two or more hidden layers).  An array slots[K-1,n,d] receives each
-    slot's etas at the rows it attacks."""
+    attacked keep eta 0, j* 0 and margin -inf.  Under live the first group
+    also bounds every pair of the rows still unbroken once its first iterate
+    is scored (_margin_bounds; not with cfg.steps < 2, nor for a model of two
+    or more hidden layers): a row whose bounds are all < 0 is certified and
+    leaves the ascent there with its best candidate so far, its margin <= 0,
+    and a later slot whose bound is below the row's best margin at that
+    iterate is dropped, since it can neither break the row nor win its fold.
+    The open slots run first and a row leaves once none are left, so the
+    best class, its eta and the verdict are the full fold's.  An array
+    slots[K-1,n,d] receives each slot's etas at the rows it attacks."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
     (n, d), k = X.shape, spec.class_count
@@ -483,10 +505,25 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
              else np.argsort(-clean, axis=1, kind="stable"))
     draw = _slot_draws(seed, cfg, (k - 1, n, d))
     live = None if live is None else live.copy()
+    stop = np.full(n, k - 1)  # each row runs its ranks below stop
+
+    def certify(sub, g):
+        # called inside the first group's call, so at and m are that group's
+        i = at[sub]
+        bounds = _margin_bounds(spec, params, X[i], y[i], cfg)
+        proved = (bounds < 0).all(axis=1)
+        later = order[i, m:]
+        shut = np.take_along_axis(bounds, later, axis=1) < g[:, None]
+        shut[proved] = True
+        order[i, m:] = np.take_along_axis(later, np.argsort(shut, axis=1, kind="stable"),
+                                          axis=1)
+        stop[i] -= shut.sum(axis=1)
+        return proved
     first = 0
     while first < k - 1 and (live is None or live.any()):
         at = rows if live is None else np.flatnonzero(live)
-        m = min(k - 1 - first,
+        # at most the ranks a row of at has left (each has stop > first)
+        m = min(np.max(stop[at], initial=first + 1) - first,
                 max(1, _GROUP_ELEMS // max(1, len(at) * max(d, *spec.hidden, k))))
         slot_of = order[at, first:first + m].T  # [m, rows]
         targets = wrong[at, slot_of]
@@ -494,7 +531,8 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
         etas, margins = targeted_ascent_batch(
             spec, params, np.broadcast_to(part, (m, *part.shape)),
             y[at], targets, cfg, draw=lambda: draw(slot_of, at),
-            clean=clean[at, slot_of], retire=live is not None)
+            clean=clean[at, slot_of], retire=live is not None,
+            certify=None if live is None or first else certify)
         if slots is not None:
             slots[slot_of, at] = etas
         # each row's best layer, then against its best so far; the lower
@@ -505,12 +543,10 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
         better = (new_m > kept_m) | ((new_m == kept_m) & (new_j < best[1][at]))
         for kept, value in zip(best, (etas, targets, margins)):
             kept[at[better]] = value[layer[better], cols[better]]
+        first += m
         if live is not None:
             live[at[(margins > 0).any(axis=0)]] = False
-            if not first and m < k - 1:
-                at = np.flatnonzero(live)
-                live[at[_certified(spec, params, X[at], y[at], cfg)]] = False
-        first += m
+            live &= stop > first
     return best
 
 
@@ -526,16 +562,17 @@ def beta_attack(spec: ModelSpec, params: dict, x, y: int,
 
 
 def fgsm_batch(spec: ModelSpec, params: dict, X: np.ndarray,
-               y: np.ndarray, cfg: AttackConfig):
+               y: np.ndarray, cfg: AttackConfig, clean=None):
     """One epsilon-sized sign step on the cross-entropy gradient; returns etas.
 
-    Rows misclassified at the clean point keep eta=0.
+    Rows misclassified at the clean point keep eta=0.  clean, the (logits,
+    cache) of models.forward at X when the caller has them, saves that pass.
     """
     if cfg.norm != "l_inf":
         raise ValueError("fgsm is defined for the l_inf norm only")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
-    logits, cache = forward(spec, params, X)
+    logits, cache = forward(spec, params, X) if clean is None else clean
     grad = backward(params, cache, cross_entropy_rows(logits, y)[1])
     etas = project(X, X + cfg.epsilon * np.sign(grad), cfg) - X
     etas[np.argmax(logits, axis=1) != y] = 0.0

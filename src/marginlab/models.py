@@ -126,18 +126,30 @@ def linear_model(weight, bias) -> tuple:
     return spec, {"w0": weight, "b0": bias}
 
 
+# numbers per json.dumps call in save_checkpoint.  Saving a 784-256-10 model
+# took about as long with 2**10 to 2**14, and raised ru_maxrss by 0.1, 0.5,
+# 1.2 and 2.4 MB at 2**10, 2**12, 2**13 and 2**14 (json.dump: 7.9 MB)
+_SAVE_CHUNK = 2 ** 12
+
+
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    doc = {
-        "spec": asdict(ckpt.spec),
-        "params": [
-            {"name": n, "shape": list(v.shape), "data": v.ravel().tolist()}
-            for n, v in ckpt.params.items()
-        ],
-        "meta": ckpt.meta,
-    }
+    """Write the bytes of json.dumps({"spec", "params": [{"name", "shape",
+    "data": flat values}], "meta"}), atomically.  Each parameter's numbers go
+    through json.dumps (the C encoder) in chunks of _SAVE_CHUNK: json.dump
+    runs the pure-Python encoder, and one json.dumps of the whole document
+    would hold a 784-d MLP's ~10 MB of text."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(doc, fh)  # streamed: a 784-d MLP's text would add ~10 MB
+        fh.write(f'{{"spec": {json.dumps(asdict(ckpt.spec))}, "params": [')
+        for i, (name, v) in enumerate(ckpt.params.items()):
+            head = json.dumps({"name": name, "shape": list(v.shape)})[:-1]
+            fh.write(f'{", " if i else ""}{head}, "data": [')
+            flat = v.ravel()
+            for s in range(0, flat.size, _SAVE_CHUNK):
+                fh.write((", " if s else "")
+                         + json.dumps(flat[s:s + _SAVE_CHUNK].tolist())[1:-1])
+            fh.write("]}")
+        fh.write(f'], "meta": {json.dumps(ckpt.meta)}}}')
     os.replace(tmp, path)
 
 

@@ -111,23 +111,28 @@ def evaluate_robust(spec: ModelSpec, params: dict, data: Dataset,
     """Clean accuracy and the fraction of rows correct both at x and at the
     attacked point x + eta (for grid_oracle: not broken anywhere on the
     grid); the random starts draw from seed, or from cfg.seed when None.
-    The clean logits are computed once and handed to pgd and beta.
+    The clean batch runs through the model once: its logits go to pgd and
+    beta, and fgsm also takes the forward cache for its gradient.
     beta exits early, so in eval, attack and the monitor alike: it calls
     beta_attack_batch with live=correct, which tries each row's most
     confusable class first and retires a row on the first ascent step that
     gives one of its slots a margin > 0 (it returns that step's best
-    candidate; only its margin > 0 is read here).  After that first rank it
-    also retires every row the linear-relaxation certificate proves robust
-    on the whole feasible set: such a row keeps its first candidate, which
-    the certificate guarantees is classified correctly.  Rows neither broken
-    nor certified are scored at their best eta over all K-1 slots; the
-    score equals the full fold's."""
+    candidate; only its margin > 0 is read here).  Once the first rank's
+    first iterate is scored (steps >= 2), a linear-relaxation certificate
+    bounds every margin of the rows still unbroken over the whole feasible
+    set.  A row all of whose bounds are < 0 leaves with its best candidate so
+    far, which the bounds guarantee is classified correctly, and a later
+    class whose bound is below the row's best margin is not attacked, as it
+    can neither break the row nor win its fold.  Every other row is scored at
+    its best eta over the classes it runs, the full fold's best; the score
+    equals the full fold's."""
     if attack_kind not in ATTACK_KINDS:
         raise ValueError(f"unknown attack kind {attack_kind!r}")
     _check_labels(spec, "dataset", data)
     if len(data) == 0:
         return {"clean": float("nan"), "robust": float("nan")}
-    logits = forward(spec, params, data.X)[0]  # predict's, handed to pgd and beta
+    logits, cache = forward(spec, params, data.X)  # predict's
+    cache = cache if attack_kind == "fgsm" else None  # not held through pgd or beta
     correct = np.argmax(logits, axis=1) == data.y
     if cfg.epsilon == 0:
         survived = correct
@@ -138,7 +143,7 @@ def evaluate_robust(spec: ModelSpec, params: dict, data: Dataset,
     else:
         live = correct
         if attack_kind == "fgsm":
-            etas = fgsm_batch(spec, params, data.X, data.y, cfg)
+            etas = fgsm_batch(spec, params, data.X, data.y, cfg, clean=(logits, cache))
         elif attack_kind == "pgd":
             etas = pgd_surrogate_batch(spec, params, data.X, data.y, cfg, seed=seed,
                                        logits=logits)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from marginlab.attacks import (AttackConfig, _certified, _gather, _key, _linf_bounds,
+from marginlab.attacks import (AttackConfig, _gather, _key, _linf_bounds, _margin_bounds,
                                _slot_draws, _uniform_start, beta_attack,
                                beta_attack_batch,
                                closed_form_linear_attack, fgsm, fgsm_batch,
@@ -471,12 +471,14 @@ def test_a_retired_row_keeps_its_candidates_up_to_its_first_break(optimizer, ste
 @pytest.mark.parametrize("k", [2, 3, 10])
 @pytest.mark.parametrize("hidden", [(), (16,)], ids=["linear", "mlp"])
 def test_certified_rows_have_no_misclassified_grid_point(hidden, k):
-    # the relaxation is sound: no point of a grid over the feasible set
-    # breaks a certified row, and most rows certify at the smallest eps.  A
-    # linear model's bound is exact, so under l_inf, where the corners of
-    # the set are grid points, it certifies exactly the rows whose grid
-    # margin is < 0 (rows within 1e-6 of 0 aside).  A class tied with
-    # another has a margin of exactly 0 everywhere and certifies nothing.
+    # the relaxation is sound per pair: no point of a grid over the feasible
+    # set gives a class a margin >= its bound U, so no grid point breaks a
+    # certified row (every U < 0), and most rows certify at the smallest
+    # eps.  A linear model's bound is exact, so under l_inf, where the
+    # corners of the set are grid points, U is the grid's best margin and a
+    # row certifies exactly when its grid margin is < 0 (rows within 1e-6 of
+    # 0 aside).  A class tied with another has a margin of exactly 0
+    # everywhere, so its U is > 0.
     data = generate_dataset(DatasetSpec("gaussian_blobs", 200, k, 0.15, k))
     spec = ModelSpec("mlp" if hidden else "linear", 2, k, hidden)
     params = run_training(spec, data, TrainConfig("erm", epochs=3, lr=0.5, seed=1)
@@ -491,26 +493,31 @@ def test_certified_rows_have_no_misclassified_grid_point(hidden, k):
         cfg = AttackConfig(epsilon=eps, norm=norm, box=box)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            certified = _certified(spec, params, X, y, cfg)
-            assert not _certified(spec, tied, X, np.full(len(X), k - 2), cfg).any()
-        grid = [grid_oracle_attack(spec, params, x, t, eps, 15, norm, box)
-                for x, t in zip(X, y)]
-        assert not any(g.success for g, c in zip(grid, certified) if c)
+            bounds = _margin_bounds(spec, params, X, y, cfg)
+            assert (_margin_bounds(spec, tied, X, np.full(len(X), k - 2), cfg)[:, -1] > 0).all()
+        grid = np.array([[m for _, m in grid_margin_per_class(
+            spec, params, x, t, eps, 15, norm, box).values()] for x, t in zip(X, y)])
+        assert bounds.shape == grid.shape == (len(X), k - 1)
+        assert (grid < bounds).all()
+        certified = (bounds < 0).all(axis=1)
         if eps == 0.01:
             assert certified.mean() > 0.5
         if not hidden and norm == "l_inf":
-            margin = np.array([g.margin_value for g in grid])
+            assert np.allclose(bounds, grid, rtol=0, atol=1e-6)
+            margin = grid.max(axis=1)
             clear = np.abs(margin) > 1e-6
             assert np.array_equal(certified[clear], margin[clear] < 0)
 
 
 def test_a_deeper_mlp_certifies_nothing():
-    # the relaxation covers one hidden layer; a deeper model attacks every row
+    # the relaxation covers one hidden layer; a deeper model's every bound
+    # is +inf, so no row is certified and no slot is dropped
     spec = ModelSpec("mlp", 2, 3, (8, 8))
     params = init_params(spec, 0)
     X = np.random.default_rng(0).uniform(size=(50, 2))
-    assert not _certified(spec, params, X, predict(spec, params, X),
-                          AttackConfig(epsilon=1e-6)).any()
+    bounds = _margin_bounds(spec, params, X, predict(spec, params, X),
+                            AttackConfig(epsilon=1e-6))
+    assert bounds.shape == (50, 2) and np.isposinf(bounds).all()
 
 
 def test_batch_attacks_accept_an_empty_batch():

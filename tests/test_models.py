@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -94,6 +95,25 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     after = forward_logits(loaded.spec, loaded.params, probe).data
     assert np.array_equal(before, after)
     assert loaded.meta["epoch"] == 3
+
+
+@pytest.mark.parametrize("spec", [ModelSpec("linear", 2, 3), ModelSpec("mlp", 2, 3, (8,)),
+                                  ModelSpec("mlp", 784, 10, (256,))],
+                         ids=["linear", "mlp-8", "784-256-10"])
+def test_checkpoint_bytes_are_the_json_of_the_document(tmp_path, spec):
+    # the file is written in chunks, with the bytes of one json.dumps; a
+    # NaN, an infinity and a -0.0 keep json's spelling
+    params = init_params(spec, 4)
+    params["b0"][:3] = [np.nan, -np.inf, -0.0]
+    meta = {"algorithm": "beta_at", "epoch": 2, "seed": 4, "note": "é"}
+    path = str(tmp_path / "ckpt.json")
+    save_checkpoint(path, Checkpoint(spec, params, meta))
+    doc = {"spec": asdict(spec),
+           "params": [{"name": n, "shape": list(v.shape), "data": v.ravel().tolist()}
+                      for n, v in params.items()],
+           "meta": meta}
+    with open(path) as fh:
+        assert fh.read() == json.dumps(doc)
 
 
 def test_checkpoint_counterexample_roundtrip(tmp_path):

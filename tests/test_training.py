@@ -190,16 +190,17 @@ def erm_model(k, hidden, n=600):
 
 
 def _robust_equals_the_full_fold(monkeypatch, spec, params, data, cfgs):
-    """(evaluate_robust's beta score, rows _certified retired) per cfg, the
-    score checked against the full fold."""
+    """(evaluate_robust's beta score, rows certified) per cfg, the score
+    checked against the full fold; with steps < 2 no bound is computed."""
     correct = predict(spec, params, data.X) == data.y
-    certified, retired = attacks._certified, []
+    margin_bounds, retired = attacks._margin_bounds, []
 
     def recording(*args):
-        out = certified(*args)
-        retired[-1] += int(out.sum())
+        assert cfg.steps > 1
+        out = margin_bounds(*args)
+        retired[-1] += int((out < 0).all(axis=1).sum())
         return out
-    monkeypatch.setattr(attacks, "_certified", recording)
+    monkeypatch.setattr(attacks, "_margin_bounds", recording)
     scores = []
     for cfg in cfgs:
         etas = beta_attack_batch(spec, params, data.X, data.y, cfg)[0]
@@ -216,10 +217,9 @@ def test_beta_early_exit_accuracy_equals_the_full_fold(monkeypatch, hidden, k):
     # 600 rows stack 5 linear slots per group, and MLP-64 slots once rows
     # leave, so rows drop out between groups and the rest regroup.  With the
     # last two classes' weights and biases tied, their margin is exactly 0
-    # everywhere; with no steps only the clean point is a candidate.  The
-    # certificate runs when group 0 leaves ranks to run, here for MLP-64 at
-    # K > 2 (every linear rank fits in group 0), and retires rows at the
-    # smallest eps.
+    # everywhere; with no steps only the clean point is a candidate, and
+    # with 1 step no bound is computed.  With 2 steps the bounds run on the
+    # last step but one; at the smallest eps they certify rows of every model.
     spec, params, data = erm_model(k, hidden)
     tie = [*range(k - 1), k - 2]
     w, b = f"w{len(hidden)}", f"b{len(hidden)}"
@@ -228,10 +228,44 @@ def test_beta_early_exit_accuracy_equals_the_full_fold(monkeypatch, hidden, k):
                                             (0.02, 0.08, 0.3)):
         cfg = AttackConfig(epsilon=eps, norm=norm, steps=5, box=box, seed=3)
         for model in (params, tied):
-            _, retired = _robust_equals_the_full_fold(monkeypatch, spec, model, data,
-                                                      (cfg, replace(cfg, steps=0)))
+            _, retired = _robust_equals_the_full_fold(
+                monkeypatch, spec, model, data,
+                [replace(cfg, steps=steps) for steps in (5, 0, 1, 2)])
             if eps == 0.02 and model is params:
-                assert (min(retired) > 0) == (bool(hidden) and k > 2)
+                assert retired[0] > 0
+
+
+@pytest.mark.parametrize("k", [5, 10])
+@pytest.mark.parametrize("hidden", [(), (64,)], ids=["linear", "mlp"])
+def test_beta_early_exit_keeps_the_full_folds_best_class(monkeypatch, hidden, k):
+    # a class is dropped only when its bound is below the row's best margin
+    # at the first iterate, so it could never have won the fold: every row
+    # neither broken nor certified keeps the full fold's j*.  Dropping every
+    # class whose bound is < 0 would not: a class between the row's margin
+    # and 0 may be its best (MLP-64, K=5 at eps 0.3 has such rows).
+    spec, params, data = erm_model(k, hidden)
+    correct = predict(spec, params, data.X) == data.y
+    where = {x.tobytes(): i for i, x in enumerate(data.X)}
+    margin_bounds, certified = attacks._margin_bounds, []
+
+    def recording(spec, params, X, y, cfg):
+        out = margin_bounds(spec, params, X, y, cfg)
+        certified.extend(where[x.tobytes()] for x in X[(out < 0).all(axis=1)])
+        return out
+    monkeypatch.setattr(attacks, "_margin_bounds", recording)
+    checked = 0
+    for norm, box, eps in itertools.product(("l_inf", "l2"), (True, False),
+                                            (0.1, 0.2, 0.3)):
+        cfg = AttackConfig(epsilon=eps, norm=norm, steps=5, box=box, seed=3)
+        certified.clear()
+        _, j_stars, margins = beta_attack_batch(spec, params, data.X, data.y, cfg,
+                                                live=correct)
+        full = beta_attack_batch(spec, params, data.X, data.y, cfg)[1]
+        unsettled = correct & ~(margins > 0)
+        unsettled[certified] = False
+        assert np.array_equal(j_stars[unsettled], full[unsettled])
+        checked += unsettled.sum()
+    assert checked > 0  # few for a linear model, whose exact bound settles the rest
 
 
 def test_beta_early_exit_accuracy_equals_the_full_fold_at_784d(monkeypatch):
@@ -253,12 +287,14 @@ def test_beta_early_exit_attacks_only_rows_still_robust(monkeypatch):
     # a row misclassified at x never reaches targeted_ascent_batch; its
     # first target is its most confusable class: the largest clean logit but
     # its own, the lower class on ties (class 9 takes the weights and bias of
-    # the class most often most confusable, c, so c comes first).  After
-    # group 0 the later groups hold exactly the rows it neither broke nor
-    # _certified proved; after that a row a group breaks is absent from
-    # every later group; each rank is run once, and a row that stays to the
-    # end covers its K-1 classes once.  No grid point breaks a row that
-    # left unbroken.
+    # the class most often most confusable, c, so c comes first).  The
+    # bounds run once, inside the first call, on exactly the rows that no
+    # pair has broken by the first iterate (the candidates of the 1-step
+    # ascent); the rows they certify are absent from that call's later
+    # forwards and from every later group.  A later rank of a row runs its
+    # open classes first (bound >= g, its best margin at the first iterate),
+    # in clean-margin order, and the row leaves once a group breaks it or no
+    # open class is left.  No grid point breaks a certified row.
     spec, params, data = erm_model(10, (64,))
 
     def wrong_logits(params):  # (logits with each row's own class at -inf, correct)
@@ -272,51 +308,82 @@ def test_beta_early_exit_attacks_only_rows_still_robust(monkeypatch):
     params = {**params, "w1": params["w1"][:, tie], "b1": params["b1"][tie]}
     logits, correct = wrong_logits(params)
     where = {x.tobytes(): i for i, x in enumerate(data.X)}
-    calls, proofs = [], []
-    targeted, certified = attacks.targeted_ascent_batch, attacks._certified
+    calls, events = [], []
+    targeted, margin_bounds, forward = (attacks.targeted_ascent_batch,
+                                        attacks._margin_bounds, attacks.forward)
 
     def rows_of(X):
         return np.array([where[x.tobytes()] for x in X], dtype=np.intp)
 
     def recording(spec, params, X, y, targets, cfg, **kwargs):
         assert kwargs["retire"] and all(np.array_equal(layer, X[0]) for layer in X)
+        assert (kwargs["certify"] is None) == bool(calls)
         rows = rows_of(X[0])
         assert np.array_equal(y, data.y[rows])
+        if not calls:  # the pairs' best margins once the first iterate is scored
+            _, first_iterate = targeted(spec, params, X, y, targets, replace(cfg, steps=1),
+                                        draw=kwargs["draw"], clean=kwargs["clean"])
+        events.append(("call", len(calls)))
         etas, margins = targeted(spec, params, X, y, targets, cfg, **kwargs)
-        calls.append((rows, targets, margins))
+        calls.append((rows, targets, margins, None if calls else first_iterate))
         return etas, margins
 
-    def recording_certified(spec, params, X, y, cfg):
-        out = certified(spec, params, X, y, cfg)
-        proofs.append((rows_of(X), out))
+    def recording_bounds(spec, params, X, y, cfg):
+        out = margin_bounds(spec, params, X, y, cfg)
+        events.append(("bounds", rows_of(X), out))
         return out
+
+    def recording_forward(spec, params, x):
+        events.append(("forward", x.copy()))
+        return forward(spec, params, x)
     monkeypatch.setattr(attacks, "targeted_ascent_batch", recording)
-    monkeypatch.setattr(attacks, "_certified", recording_certified)
-    eps = 0.2
-    evaluate_robust(spec, params, data, "beta", AttackConfig(epsilon=eps, steps=5, seed=3))
-    rows, targets, margins = calls[0]
+    monkeypatch.setattr(attacks, "_margin_bounds", recording_bounds)
+    monkeypatch.setattr(attacks, "forward", recording_forward)
+    eps = 0.2  # the step size is the default's, and stays with fewer steps
+    evaluate_robust(spec, params, data, "beta",
+                    AttackConfig(epsilon=eps, steps=5, step_size=2 * eps / 5, seed=3))
+
+    rows, targets, margins, first_iterate = calls[0]
     assert np.array_equal(rows, np.flatnonzero(correct)) and not correct.all()
     assert np.array_equal(targets[0], np.argmax(logits[rows], axis=1))
     assert (targets[0] == c).sum() >= 5
-    assert sum(len(t) for _, t, _ in calls) == 9
-    (checked, proved), = proofs  # once, on the rows group 0 left
-    assert np.array_equal(checked, rows[~(margins > 0).any(axis=0)])
+    kinds = [e[0] for e in events]
+    at = kinds.index("bounds")
+    assert kinds.count("bounds") == 1 and kinds[:at].count("call") == 1
+    _, checked, bounds = events[at]
+    assert np.array_equal(checked, rows[~(first_iterate > 0).any(axis=0)])
+    proved = (bounds < 0).all(axis=1)
     assert 0 < proved.sum() < len(checked)
-    assert np.array_equal(calls[1][0], checked[~proved])
-    for (rows, _, margins), (later, _, _) in zip(calls[1:], calls[2:]):
-        assert np.array_equal(later, rows[~(margins > 0).any(axis=0)])
-    assert len(calls[-1][0]) < len(calls[0][0])
-    assert max(len(t) for _, t, _ in calls[1:]) > len(calls[0][1])  # fewer rows, larger groups
+    # the call's later forwards hold only rows neither broken nor certified
+    stay = checked[~proved]
+    end = kinds.index("call", at) if "call" in kinds[at:] else len(kinds)
+    later = [e[1] for e in events[at:end] if e[0] == "forward"]
+    assert later and np.abs(later[0] - data.X[stay]).max() <= eps + 1e-12
+    assert all(a.shape[-2] >= b.shape[-2] for a, b in zip(later, later[1:]))
+
+    # each row's later ranks: its open classes first, in clean-margin order
+    wrong = wrong_classes(data.y, 10)
+    every, raw = np.arange(len(data)), forward_logits(spec, params, data.X).data
+    clean = raw[every[:, None], wrong] - raw[every, data.y][:, None]
+    order = np.argsort(-clean, axis=1, kind="stable")
+    m0, g = len(targets), dict(zip(rows, first_iterate.max(axis=0)))
+    seq, stop = {}, {}
+    for i, u in zip(stay, bounds[~proved]):
+        slots = order[i, m0:]
+        shut = u[slots] < g[i]
+        seq[i] = wrong[i, np.concatenate([slots[~shut], slots[shut]])]
+        stop[i] = m0 + (~shut).sum()
+    assert sum(stop.values()) < len(stop) * 9  # some classes were dropped
+    alive, first = rows[~(margins > 0).any(axis=0)], m0
+    for rows, targets, margins, _ in calls[1:]:
+        assert np.array_equal(rows, [i for i in alive if stop.get(i, 0) > first])
+        for col, i in enumerate(rows):
+            assert np.array_equal(targets[:, col],
+                                  seq[i][first - m0:first - m0 + len(targets)])
+        alive, first = rows[~(margins > 0).any(axis=0)], first + len(targets)
+    assert len(calls) > 1 and not [i for i in alive if stop.get(i, 0) > first]
     for i in checked[proved]:
         assert not grid_oracle_attack(spec, params, data.X[i], data.y[i], eps, 20).success
-    targets = np.full((len(data), 9), -1)
-    first = 0
-    for rows, t, _ in calls:  # each row's targets over its ranks: distinct wrong classes
-        targets[rows, first:first + len(t)] = t.T
-        first += len(t)
-    ran = targets[:, -1] >= 0
-    assert np.array_equal(np.sort(targets[ran], axis=1),
-                          wrong_classes(data.y[ran], 10))
 
 
 def test_monitor_forwards_each_split_clean_once(monkeypatch):
@@ -353,6 +420,22 @@ def test_monitor_forwards_each_split_clean_once(monkeypatch):
             assert sum(x is split.X for x in clean) == 1
             assert not any(x is split.X for x in attacked)
         assert len(attacked) == 3
+
+
+@pytest.mark.parametrize("kind", ["fgsm", "pgd", "beta"])
+def test_evaluate_robust_forwards_the_clean_batch_once(monkeypatch, kind):
+    # the clean X runs through the model once per call: its logits go to
+    # the attack, and fgsm also takes the forward cache for its gradient
+    seen = []
+    for module in (training, attacks):
+        def recording(spec, params, x, forward=module.forward):
+            seen.append(x)
+            return forward(spec, params, x)
+        monkeypatch.setattr(module, "forward", recording)
+    spec = ModelSpec("mlp", 2, 3, (8,))
+    data = blobs(n=100)
+    evaluate_robust(spec, init_params(spec, 0), data, kind, small_attack())
+    assert sum(x is data.X for x in seen) == 1
 
 
 def test_margin_and_surrogate_training_attack_different_points():
