@@ -12,10 +12,9 @@ from .models import (Checkpoint, ModelSpec, forward_logits, init_params,
                      linear_model, load_checkpoint, predict, save_checkpoint,
                      with_grad)
 from .objectives import (cross_entropy, lambda_star, lse_smoothed_margin,
-                         max_margin_over_classes, negative_margin,
-                         nll_of_probs, zero_one_error)
+                         max_margin_over_classes, nll_of_probs, zero_one_error)
 from .optim import OptimState, step
-from .tensor import Tensor, affine, finite_diff_check, relu
+from .tensor import Tensor, affine, relu
 from .training import (EpochMetrics, SelectionReport, TrainConfig,
                        evaluate_robust, run_training, select_checkpoints)
 

@@ -353,13 +353,12 @@ def targeted_ascent_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     like X, margins[..., n]) for the best candidate each pair has seen: the
     clean point, the random start and every iterate.  Each layer gets its
     own matmuls, so a stack has the bits of one call per layer.  The start
-    draws stream(*_key(seed, cfg)).random(X.shape) (a list [key] names the
-    stream key itself), or draw() gives those uniform draws; clean, the
-    margins at X, saves their forward pass.  With retire, a row leaves every
-    layer after the first step that gives one of its pairs a best margin
-    > 0, and keeps its best candidates up to that step; certify(rows, g) ->
-    bool[len(rows)] also retires the rows it marks after the first iterate
-    (_ascend).
+    draws stream(*_key(seed, cfg)).random(X.shape), or draw() gives those
+    uniform draws; clean, the margins at X, saves their forward pass.  With
+    retire, a row leaves every layer after the first step that gives one of
+    its pairs a best margin > 0, and keeps its best candidates up to that
+    step; certify(rows, g) -> bool[len(rows)] also retires the rows it marks
+    after the first iterate (_ascend).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
@@ -375,8 +374,7 @@ def targeted_ascent_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     objective = margin()
     clean = (objective(forward(spec, params, X)[0])[0] if clean is None
              else np.array(clean, dtype=np.float64))
-    (key,) = seed if isinstance(seed, list) else [_key(seed, cfg)]
-    draw = draw or (lambda: stream(*key).random(X.shape))
+    draw = draw or (lambda: stream(*_key(seed, cfg)).random(X.shape))
     # drawn in _ascend, whose first step frees it
     return _ascend(spec, params, X, cfg,
                    lambda bounds: _uniform_start(X, bounds, cfg, draw()),

@@ -23,15 +23,18 @@ import numpy as np
 from . import objectives
 from .attacks import (AttackConfig, beta_attack, check_resolution,
                       closed_form_linear_attack, grid_max_cross_entropy,
-                      grid_oracle_attack)
+                      grid_oracle_attack, wrong_classes)
 from .data import Dataset, DatasetSpec, generate_dataset, load_idx
-from .models import ModelSpec, forward, linear_model, load_checkpoint, save_checkpoint
+from .models import (ModelSpec, backward, forward, init_params, linear_model,
+                     load_checkpoint, save_checkpoint)
 from .models import forward_logits  # unused: perfbench's tracer wraps this binding
-from .objectives import (cross_entropy, max_margin_over_classes, negative_margin,
-                         nll_of_probs)
+from .objectives import cross_entropy  # unused: perfbench's tracer wraps this binding
+from .objectives import (cross_entropy_rows, lambda_star, lse_smoothed_margin,
+                         margin_rows, max_margin_over_classes, nll_of_probs)
 from .reports import atomic_write, emit_report, emit_table
-from .tensor import Tensor, finite_diff_check
-from .training import ATTACK_KINDS, TrainConfig, evaluate_robust, run_training
+from .tensor import Tensor
+from .training import (ATTACK_KINDS, TrainConfig, _on_graph, evaluate_robust,
+                       run_training, sbeta_weighted_loss)
 
 
 class UsageError(ValueError):
@@ -216,20 +219,74 @@ def cmd_oracle(args) -> int:
     return 0 if agree == n else 1
 
 
+def gradient_error(fn, point, analytic, h=1e-6) -> float:
+    """Worst |analytic - numeric| / max(1, |analytic|) over the coordinates of
+    the array point, numeric being the central differences of the scalar
+    fn(array) at point; for a dict of arrays (params), the worst over its
+    arrays, each moved alone, against analytic[name]."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    if isinstance(point, dict):
+        return max(gradient_error(lambda v: fn({**point, name: v}), value,
+                                  analytic[name], h) for name, value in point.items())
+    point = np.asarray(point, dtype=np.float64)
+    numeric = np.zeros_like(point)
+    for idx in np.ndindex(*point.shape):
+        plus, minus = point.copy(), point.copy()
+        plus[idx] += h
+        minus[idx] -= h
+        numeric[idx] = (fn(plus) - fn(minus)) / (2 * h)
+    return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))))
+
+
 def cmd_gradcheck(args) -> int:
+    """gradient_error of each analytic gradient that training and the attacks
+    run: models.backward at the input (a stack and a batch) and at the
+    params, of a linear model and an MLP; margin_rows; weighted
+    cross_entropy_rows; lambda_star - e_y, the gradient of
+    lse_smoothed_margin; and sbeta_at's defender loss at the params and the
+    slot etas.  Exit 1 unless every error is below 1e-5."""
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
+    errors = []
     for _ in range(args.trials):
-        k = 5
-        logits = rng.normal(size=k)
-        y = int(rng.integers(k))
-        j = int((y + 1 + rng.integers(k - 1)) % k)
-        e1 = finite_diff_check(lambda t: cross_entropy(t, y), Tensor(logits))
-        e2 = finite_diff_check(lambda t: negative_margin(t, y, j), Tensor(logits))
-        e3 = finite_diff_check(
-            lambda t: objectives.lse_smoothed_margin_t(t, y, 5.0),
-            Tensor(logits))
-        worst = max(worst, e1, e2, e3)
+        for spec in (ModelSpec("linear", 3, 4), ModelSpec("mlp", 3, 4, (5,))):
+            params = {n: rng.normal(size=v.shape)
+                      for n, v in init_params(spec, 0).items()}
+            for shape in ((3, 6, 3), (6, 3)):  # the scalar is sum(dlogits * logits)
+                x, dlogits = rng.normal(size=shape), rng.normal(size=(*shape[:-1], 4))
+                cache = forward(spec, params, x)[1]
+                errors.append(gradient_error(
+                    lambda v: np.sum(dlogits * forward(spec, params, v)[0]), x,
+                    backward(params, cache, dlogits)))
+            errors.append(gradient_error(  # wrt="params" takes the batch
+                lambda p: np.sum(dlogits * forward(spec, p, x)[0]), params,
+                backward(params, cache, dlogits, "params")))
+        # margins of a [2, 3, 5] logit stack, and the cross-entropy of its rows
+        logits, coef = rng.normal(size=(2, 3, 5)) * 3.0, rng.normal(size=(2, 3))
+        y = rng.integers(5, size=6)
+        margin = margin_rows(y, (y + 1 + rng.integers(4, size=6)) % 5, 5, (2, 3))
+        errors.append(gradient_error(lambda lg: np.sum(coef * margin(lg)[0]), logits,
+                                     coef[..., None] * margin(logits)[1]))
+        rows = logits.reshape(6, 5)
+        for w in (coef.ravel(), 1.0 / 6):  # per-row weights and one scalar
+            errors.append(gradient_error(
+                lambda lg: np.sum(w * cross_entropy_rows(lg, y)[0]), rows,
+                cross_entropy_rows(rows, y, w)[1]))
+        k, mu = int(rng.integers(2, 11)), float(rng.uniform(0.1, 20.0))
+        logits, y = rng.normal(size=k), int(rng.integers(k))
+        errors.append(gradient_error(lambda lg: lse_smoothed_margin(lg, y, mu), logits,
+                                     lambda_star(logits, y, mu) - np.eye(k)[y]))
+        # sbeta_at's defender step on the MLP above: 3 slots of 2 rows
+        X, y = rng.normal(size=(2, 3)), rng.integers(4, size=2)
+        etas, mu = rng.normal(size=(3, 2, 3)) * 0.05, float(rng.uniform(0.5, 20.0))
+        def loss(p, e):
+            return sbeta_weighted_loss(spec, p, X, y, e, wrong_classes(y, 4), mu)
+        leaves = [Tensor(e, requires_grad=True) for e in etas]
+        grads = _on_graph(lambda p: loss(p, leaves))(params)[1]
+        errors.append(gradient_error(lambda p: loss(p, etas).item(), params, grads))
+        errors.append(gradient_error(lambda e: loss(params, e).item(), etas,
+                                     np.stack([leaf.grad for leaf in leaves])))
+    worst = max(errors, default=0.0)
     print(f"max relative gradient error over {args.trials} trials: {worst:.3e}")
     return 0 if worst < 1e-5 else 1
 

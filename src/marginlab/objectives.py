@@ -5,36 +5,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (Tensor, as_tensor, logsumexp, reshape, sub, take,
-                     take_per_row, tsum, mul)
+from .tensor import Tensor, as_tensor, logsumexp, sub, take_per_row
 
 _LN2 = float(np.log(2.0))
 
 
-def cross_entropy(logits, y, base="e") -> Tensor:
-    """-log softmax(logits)[y], differentiable; logits is [K] or [n,K].
-
-    For batched logits, y is a per-row class array and the result is the
-    per-row loss vector.
-    """
-    logits = as_tensor(logits)
-    if logits.data.ndim == 1:
-        k = logits.data.shape[0]
-        yi = int(y)
-        if not 0 <= yi < k:
-            raise ValueError(f"class index {yi} out of range for K={k}")
-        row = reshape(logits, (1, k))
-        loss = sub(logsumexp(row, axis=1), take_per_row(row, [yi]))
-        out = tsum(loss)
-    else:
-        y = np.asarray(y, dtype=np.intp)
-        check_classes(logits.data.shape[1], y)
-        out = sub(logsumexp(logits, axis=1), take_per_row(logits, y))
-    if base == 2:
-        out = mul(out, 1.0 / _LN2)
-    elif base != "e":
-        raise ValueError("base must be 'e' or 2")
-    return out
+def cross_entropy(logits, y) -> Tensor:
+    """-log softmax(logits)[y] per row of logits[n,K], differentiable; y is a
+    per-row class array."""
+    logits, y = as_tensor(logits), np.asarray(y, dtype=np.intp)
+    check_classes(logits.data.shape[1], y)
+    return sub(logsumexp(logits, axis=1), take_per_row(logits, y))
 
 
 def check_classes(k, *labels):
@@ -84,13 +65,6 @@ def zero_one_error(logits, y: int) -> int:
     return int(np.argmax(logits) != int(y))
 
 
-def negative_margin(logits, y: int, j: int) -> Tensor:
-    """logits[j] - logits[y], differentiable through the logits."""
-    logits = as_tensor(logits)
-    picked = take(logits, [int(j), int(y)])
-    return tsum(sub(take(picked, [0]), take(picked, [1])))
-
-
 def max_margin_over_classes(logits, y: int):
     """(j_star, value): best margin over j != y, lowest index on ties."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -118,17 +92,6 @@ def lse_smoothed_margin(logits, y: int, mu: float) -> float:
     m = np.delete(logits - logits[int(y)], int(y)) * mu
     c = m.max()
     return float((c + np.log(np.exp(m - c).sum())) / mu)
-
-
-def lse_smoothed_margin_t(logits, y: int, mu: float) -> Tensor:
-    """Differentiable version, evaluated from raw logits."""
-    _check_mu(mu)
-    logits = as_tensor(logits)
-    k = logits.data.shape[0]
-    others = [j for j in range(k) if j != int(y)]
-    m = sub(take(logits, others), tsum(take(logits, [int(y)])))
-    scaled = reshape(mul(m, mu), (1, len(others)))
-    return mul(tsum(logsumexp(scaled, axis=1)), 1.0 / mu)
 
 
 def lambda_star(logits, y: int, mu: float) -> np.ndarray:

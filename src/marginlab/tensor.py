@@ -94,11 +94,11 @@ def _binary(a, b, fwd, bwd_a, bwd_b):
     requires = a.requires_grad or b.requires_grad
     out = Tensor(out_data, requires_grad=requires, parents=(a, b))
 
-    def backward_fn(g):
-        if a.requires_grad or a._parents:
+    def backward_fn(g):  # requires_grad marks every node above a leaf that has it
+        if a.requires_grad:
             ga = _unbroadcast(bwd_a(g, a.data, b.data), a.data.shape)
             a.grad = ga if a.grad is None else a.grad + ga
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             gb = _unbroadcast(bwd_b(g, a.data, b.data), b.data.shape)
             b.grad = gb if b.grad is None else b.grad + gb
 
@@ -196,21 +196,6 @@ def tsum(x, axis=None):
     return out
 
 
-def take(x, indices):
-    """Select elements of a 1-D tensor: out[i] = x[indices[i]]."""
-    x = as_tensor(x)
-    idx = np.asarray(indices, dtype=np.intp)
-    out = Tensor(x.data[idx], requires_grad=x.requires_grad, parents=(x,))
-
-    def backward_fn(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        x.grad = gx if x.grad is None else x.grad + gx
-
-    out._backward_fn = backward_fn
-    return out
-
-
 def take_per_row(x, indices):
     """Per-row column pick on a 2-D tensor: out[i] = x[i, indices[i]]."""
     x = as_tensor(x)
@@ -246,32 +231,3 @@ def logsumexp(x, axis):
     shifted = sub(x, Tensor(shift))
     lse = tlog(tsum(texp(shifted), axis=axis))
     return add(lse, Tensor(np.squeeze(shift, axis=axis)))
-
-
-def finite_diff_check(fn, point: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    fn maps a Tensor to a scalar Tensor.  Relative error uses
-    |analytic - numeric| / max(1, |analytic|) per coordinate.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = Tensor(point.data.copy(), requires_grad=True)
-    out = fn(x)
-    out.backward()
-    analytic = x.grad if x.grad is not None else np.zeros_like(x.data)
-
-    flat = x.data.ravel()
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + h
-        f_plus = fn(Tensor(bumped.reshape(x.data.shape))).item()
-        bumped[i] = flat[i] - h
-        f_minus = fn(Tensor(bumped.reshape(x.data.shape))).item()
-        numeric[i] = (f_plus - f_minus) / (2.0 * h)
-    numeric = numeric.reshape(x.data.shape)
-
-    denom = np.maximum(1.0, np.abs(analytic))
-    err = np.abs(analytic - numeric) / denom
-    return float(err.max()) if err.size else 0.0

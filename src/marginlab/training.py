@@ -92,12 +92,6 @@ class TrainingRun:
     selection: SelectionReport
 
 
-def accuracy(spec: ModelSpec, params: dict, data: Dataset) -> float:
-    if len(data) == 0:
-        return float("nan")
-    return float(np.mean(predict(spec, params, data.X) == data.y))
-
-
 def _check_labels(spec: ModelSpec, name: str, data: Dataset):
     bad = data.y[(data.y < 0) | (data.y >= spec.class_count)]
     if bad.size:
@@ -108,24 +102,13 @@ def _check_labels(spec: ModelSpec, name: str, data: Dataset):
 def evaluate_robust(spec: ModelSpec, params: dict, data: Dataset,
                     attack_kind: str, cfg: AttackConfig, resolution: int = 41,
                     seed: int = None) -> dict:
-    """Clean accuracy and the fraction of rows correct both at x and at the
-    attacked point x + eta (for grid_oracle: not broken anywhere on the
-    grid); the random starts draw from seed, or from cfg.seed when None.
-    The clean batch runs through the model once: its logits go to pgd and
-    beta, and fgsm also takes the forward cache for its gradient.
-    beta exits early, so in eval, attack and the monitor alike: it calls
-    beta_attack_batch with live=correct, which tries each row's most
-    confusable class first and retires a row on the first ascent step that
-    gives one of its slots a margin > 0 (it returns that step's best
-    candidate; only its margin > 0 is read here).  Once the first rank's
-    first iterate is scored (steps >= 2), a linear-relaxation certificate
-    bounds every margin of the rows still unbroken over the whole feasible
-    set.  A row all of whose bounds are < 0 leaves with its best candidate so
-    far, which the bounds guarantee is classified correctly, and a later
-    class whose bound is below the row's best margin is not attacked, as it
-    can neither break the row nor win its fold.  Every other row is scored at
-    its best eta over the classes it runs, the full fold's best; the score
-    equals the full fold's."""
+    """{"clean": the share of rows correct at x, "robust": the share correct
+    both at x and at the attacked point x + eta} for attack_kind fgsm, pgd,
+    beta or grid_oracle (robust: not broken anywhere on the grid); the random
+    starts draw from seed, or from cfg.seed when None.  beta attacks only
+    the rows correct at x and leaves a row once its verdict is known, by a
+    break or a certificate (beta_attack_batch with live); the score equals
+    the full fold's."""
     if attack_kind not in ATTACK_KINDS:
         raise ValueError(f"unknown attack kind {attack_kind!r}")
     _check_labels(spec, "dataset", data)
@@ -190,11 +173,13 @@ def _on_graph(loss_t):
 def sbeta_weighted_loss(spec, params, X, y, slot_etas, wrong, mu) -> Tensor:
     """Margin-softmax weighted cross-entropy over all per-class perturbations,
     as a differentiable scalar; the weights stay inside the graph, so
-    gradients flow through them as well as through the per-term losses."""
-    n, n_slots = np.atleast_2d(X).shape[0], len(slot_etas)
+    gradients flow through them as well as through the per-term losses.
+    Slot s's points are Tensor(X) + slot_etas[s], so an eta given as a
+    gradient leaf gets its gradient too."""
+    X = Tensor(X)
     margins, ces = [], []
-    for s in range(n_slots):
-        logits = forward_logits(spec, params, np.atleast_2d(X) + slot_etas[s])
+    for s in range(len(slot_etas)):
+        logits = forward_logits(spec, params, X + slot_etas[s])
         m = sub(take_per_row(logits, wrong[:, s]), take_per_row(logits, y))
         margins.append(m)
         ces.append(cross_entropy(logits, y))
@@ -207,7 +192,7 @@ def sbeta_weighted_loss(spec, params, X, y, slot_etas, wrong, mu) -> Tensor:
     for e, ce in zip(exps, ces):
         term = mul(div(e, denom), ce)
         weighted = term if weighted is None else weighted + term
-    return mul(tsum(weighted), 1.0 / n)
+    return mul(tsum(weighted), 1.0 / X.shape[0])
 
 
 def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,

@@ -14,19 +14,16 @@ import pytest
 
 from marginlab.attacks import (AttackConfig, closed_form_linear_attack,
                                grid_margin_per_class, grid_oracle_attack, project,
-                               targeted_margin_ascent, wrong_classes)
-from marginlab.cli import main
+                               targeted_margin_ascent)
+from marginlab.cli import gradient_error, main
 from marginlab.data import DatasetSpec, generate_dataset
 from marginlab.models import (ModelSpec, backward, forward, forward_logits,
-                              init_params, linear_model, with_grad)
-from marginlab.objectives import (cross_entropy, cross_entropy_rows, entropy,
-                                  lambda_star, lse_smoothed_margin,
-                                  lse_smoothed_margin_t,
-                                  margin_rows, max_margin_over_classes,
-                                  negative_margin, nll_of_probs, zero_one_error)
-from marginlab.tensor import Tensor, finite_diff_check
-from marginlab.training import (TrainConfig, evaluate_robust, run_training,
-                                sbeta_weighted_loss)
+                              init_params, linear_model)
+from marginlab.objectives import (cross_entropy_rows, entropy, lambda_star,
+                                  lse_smoothed_margin, margin_rows,
+                                  max_margin_over_classes, nll_of_probs,
+                                  zero_one_error)
+from marginlab.training import TrainConfig, evaluate_robust, run_training
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
@@ -99,27 +96,6 @@ def test_criterion_3_oracle_equivalence():
     assert time.perf_counter() - t0 < 60.0
 
 
-def _central_diff(fn, point, h=1e-6):
-    """Central-difference gradient of the scalar fn(array) at the array point."""
-    grad = np.zeros_like(point)
-    for idx in np.ndindex(*point.shape):
-        plus, minus = point.copy(), point.copy()
-        plus[idx] += h
-        minus[idx] -= h
-        grad[idx] = (fn(plus) - fn(minus)) / (2 * h)
-    return grad
-
-
-def _numeric_param_grads(fn, params, h=1e-6):
-    return {name: _central_diff(lambda v: fn({**params, name: v}), value, h)
-            for name, value in params.items()}
-
-
-def _relative_error(analytic, numeric):
-    """Worst |analytic - numeric| / max(1, |analytic|) over the coordinates."""
-    return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))))
-
-
 @pytest.mark.parametrize("hidden", [None, (5,), (5, 4)],
                          ids=["linear", "mlp5", "mlp5-4"])
 def test_kernel_gradients_match_finite_differences(hidden):
@@ -136,13 +112,12 @@ def test_kernel_gradients_match_finite_differences(hidden):
         def f(pts, p):  # the scalar whose gradient at the logits is dlogits
             return float(np.sum(dlogits * forward(spec, p, pts)[0]))
         cache = forward(spec, params, x)[1]
-        worst = max(worst, _relative_error(backward(params, cache, dlogits),
-                                           _central_diff(lambda v: f(v, params), x)))
+        worst = max(worst, gradient_error(lambda v: f(v, params), x,
+                                          backward(params, cache, dlogits)))
         if len(shape) == 2:  # wrt="params" takes a batch only
             grads = backward(params, cache, dlogits, "params")
-            numeric = _numeric_param_grads(lambda p: f(x, p), params)
-            assert sorted(grads) == sorted(numeric)
-            worst = max(worst, *(_relative_error(grads[n], numeric[n]) for n in grads))
+            assert sorted(grads) == sorted(params)
+            worst = max(worst, gradient_error(lambda p: f(x, p), params, grads))
     assert worst < 1e-5
 
 
@@ -156,97 +131,25 @@ def test_kernel_objectives_match_finite_differences():
         targets = (y + 1 + rng.integers(k - 1, size=m * n)) % k
         coef = rng.normal(size=(m, n))  # the scalar is sum(coef * values)
         margin = margin_rows(y, targets, k, (m, n))
-        worst = max(worst, _relative_error(
-            coef[..., None] * margin(logits)[1],
-            _central_diff(lambda lg: float(np.sum(coef * margin(lg)[0])), logits)))
+        worst = max(worst, gradient_error(
+            lambda lg: float(np.sum(coef * margin(lg)[0])), logits,
+            coef[..., None] * margin(logits)[1]))
         flat, weight = logits.reshape(-1, k), coef.ravel()
         for w in (weight, 1.0 / len(flat)):  # per-row weights and one scalar
-            worst = max(worst, _relative_error(
-                cross_entropy_rows(flat, y, w)[1],
-                _central_diff(lambda lg: float(np.sum(w * cross_entropy_rows(lg, y)[0])),
-                              flat)))
+            worst = max(worst, gradient_error(
+                lambda lg: float(np.sum(w * cross_entropy_rows(lg, y)[0])), flat,
+                cross_entropy_rows(flat, y, w)[1]))
     assert worst < 1e-5
 
 
 @report(4, "gradient correctness")
-def test_criterion_4_gradients():
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    for _ in range(100):
-        k = 5
-        logits = rng.normal(size=k)
-        y = int(rng.integers(k))
-        j = int((y + 1 + rng.integers(k - 1)) % k)
-        worst = max(worst,
-                    finite_diff_check(lambda t: cross_entropy(t, y), Tensor(logits)),
-                    finite_diff_check(lambda t: negative_margin(t, y, j),
-                                      Tensor(logits)),
-                    finite_diff_check(
-                        lambda t: lse_smoothed_margin_t(t, y, 5.0),
-                        Tensor(logits)))
-    assert worst < 1e-5
-
-    # full smoothed weighted loss, w.r.t. both inputs and parameters
-    spec = ModelSpec("mlp", 2, 3, (4,))
-    worst = 0.0
-    for trial in range(100):
-        params = init_params(spec, 4000 + trial)
-        X = rng.normal(size=(2, 2))
-        y = rng.integers(3, size=2)
-        wrong = wrong_classes(y, 3)
-        slot_etas = [rng.normal(size=(2, 2)) * 0.05 for _ in range(2)]
-        mu = float(rng.uniform(0.5, 20.0))
-
-        params_g = with_grad(params)
-        loss = sbeta_weighted_loss(spec, params_g, X, y, slot_etas, wrong, mu)
-        loss.backward()
-        numeric = _numeric_param_grads(
-            lambda p: sbeta_weighted_loss(spec, with_grad(p), X, y, slot_etas,
-                                          wrong, mu).item(), params)
-        for name, tensor in params_g.items():
-            analytic = tensor.grad if tensor.grad is not None else 0.0
-            denom = max(1.0, float(np.max(np.abs(analytic))))
-            worst = max(worst, float(np.max(np.abs(numeric[name] - analytic)))
-                        / denom)
-        if trial < 10:  # input gradients, via perturbation of the first slot
-            h = 1e-6
-            for idx in np.ndindex(2, 2):
-                def val(delta):
-                    etas = [e.copy() for e in slot_etas]
-                    etas[0][idx] += delta
-                    return sbeta_weighted_loss(spec, with_grad(params), X, y,
-                                               etas, wrong, mu).item()
-                num = (val(h) - val(-h)) / (2 * h)
-                # rebuild with tensor etas to read the analytic input gradient
-                eta_t = [Tensor(e, requires_grad=True) for e in slot_etas]
-                loss2 = _sbeta_loss_with_eta_grad(spec, params, X, y, eta_t,
-                                                  wrong, mu)
-                loss2.backward()
-                ana = eta_t[0].grad[idx]
-                worst = max(worst, abs(num - ana) / max(1.0, abs(ana)))
-    assert worst < 1e-5
-
-
-def _sbeta_loss_with_eta_grad(spec, params, X, y, eta_tensors, wrong, mu):
-    from marginlab.tensor import add, div, mul, sub, take_per_row, texp, tsum
-    n = X.shape[0]
-    margins, ces = [], []
-    for s, eta in enumerate(eta_tensors):
-        logits = forward_logits(spec, with_grad(params),
-                                add(Tensor(np.asarray(X, dtype=np.float64)), eta))
-        m = sub(take_per_row(logits, wrong[:, s]), take_per_row(logits, y))
-        margins.append(m)
-        ces.append(cross_entropy(logits, y))
-    shift = np.max(np.stack([m.data for m in margins]) * mu, axis=0)
-    exps = [texp(sub(mul(m, mu), Tensor(shift))) for m in margins]
-    denom = exps[0]
-    for e in exps[1:]:
-        denom = denom + e
-    weighted = None
-    for e, ce in zip(exps, ces):
-        term = mul(div(e, denom), ce)
-        weighted = term if weighted is None else weighted + term
-    return mul(tsum(weighted), 1.0 / n)
+def test_criterion_4_gradients(capsys):
+    # gradcheck's checks, each against central differences: models.backward at
+    # the input and the params, margin_rows, weighted cross_entropy_rows,
+    # lambda_star as the gradient of lse_smoothed_margin, and sbeta_at's
+    # defender loss, training.sbeta_weighted_loss, at the params and the etas
+    assert main(["gradcheck", "--trials", "100", "--seed", "4"]) == 0
+    assert float(capsys.readouterr().out.split()[-1]) < 1e-5  # the worst error
 
 
 @report(5, "analytic invariant suites")
@@ -255,7 +158,8 @@ def test_criterion_5_invariants():
     for _ in range(1000):  # (a) base-2 surrogate dominates the 0-1 error
         logits = rng.normal(size=int(rng.integers(2, 11))) * rng.uniform(0.1, 5)
         y = int(rng.integers(logits.size))
-        assert cross_entropy(logits, y, base=2).item() >= zero_one_error(logits, y)
+        base2 = cross_entropy_rows(logits[None], np.array([y]))[0][0] / np.log(2.0)
+        assert base2 >= zero_one_error(logits, y)
     for _ in range(1000):  # (b) smoothed-margin sandwich
         k = int(rng.integers(2, 9))
         logits, y = rng.normal(size=k), int(rng.integers(k))

@@ -360,8 +360,9 @@ def test_beta_batch_is_fold_of_serial_slot_ascents():
         best_m = np.full(n, -np.inf)
         for s in range(k - 1):
             targets = np.array([[j for j in range(k) if j != yi][s] for yi in y])
-            eta_s, m_s = targeted_ascent_batch(spec, params, X, y, targets, cfg,
-                                               seed=[(7, EVAL, 0, 0, s)])
+            eta_s, m_s = targeted_ascent_batch(
+                spec, params, X, y, targets, cfg,
+                draw=lambda: stream(7, EVAL, 0, 0, s).random(X.shape))
             better = m_s > best_m
             best_eta[better], best_j[better] = eta_s[better], targets[better]
             best_m[better] = m_s[better]
@@ -400,8 +401,9 @@ def test_beta_slots_are_the_serial_slot_ascents(n, hidden, k):
         best = (np.zeros_like(X), np.zeros(n, dtype=np.intp), np.full(n, -np.inf))
         for s in range(k - 1):
             targets = wrong_classes(y, k)[:, s]
-            eta_s, m_s = targeted_ascent_batch(spec, params, X, y, targets, cfg,
-                                               seed=[_key(None, cfg, s)])
+            eta_s, m_s = targeted_ascent_batch(
+                spec, params, X, y, targets, cfg,
+                draw=lambda: stream(*_key(None, cfg, s)).random(X.shape))
             assert np.array_equal(buf[s], eta_s)
             better = m_s > best[2]
             for kept, new in zip(best, (eta_s, targets, m_s)):

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from marginlab import cli, training
+from marginlab import cli, models, objectives, training
 from marginlab.attacks import AttackConfig, AttackResult
 from marginlab.cli import main
 from marginlab.data import (EVAL, MONITOR, SHUFFLE, SPLIT, TRAIN, DatasetSpec,
@@ -385,6 +385,38 @@ def test_cli_repro_commands_pass(capsys):
 
 def test_cli_gradcheck_passes(capsys):
     assert main(["gradcheck", "--trials", "5"]) == 0
+    capsys.readouterr()
+
+
+def _backward_without_relu_mask(params, cache, dlogits, wrt="input"):
+    acts, masks = cache
+    return models.backward(params, (acts, [np.ones_like(m) for m in masks]),
+                           dlogits, wrt)
+
+
+def _cross_entropy_rows_without_y_term(logits, y, weight=1.0):
+    values, grad = objectives.cross_entropy_rows(logits, y, weight)
+    grad[np.arange(len(logits)), y] += weight
+    return values, grad
+
+
+def _margin_rows_with_flipped_gradient(*args):
+    objective = objectives.margin_rows(*args)
+    return lambda logits: (objective(logits)[0], -objective(logits)[1])
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("backward", _backward_without_relu_mask),
+    ("cross_entropy_rows", _cross_entropy_rows_without_y_term),
+    ("margin_rows", _margin_rows_with_flipped_gradient),
+    ("lambda_star", lambda *args: 1.01 * objectives.lambda_star(*args))],
+    ids=["backward", "cross_entropy_rows", "margin_rows", "lambda_star"])
+def test_cli_gradcheck_fails_a_wrong_kernel_gradient(monkeypatch, capsys, name, mutant):
+    # gradcheck checks the gradients training and the attacks run, under the
+    # names it binds: each mutant keeps the values and breaks one gradient
+    assert main(["gradcheck", "--trials", "3"]) == 0
+    monkeypatch.setattr(cli, name, mutant)
+    assert main(["gradcheck", "--trials", "3"]) == 1
     capsys.readouterr()
 
 

@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
 
-from marginlab.objectives import (cross_entropy, entropy, lambda_star,
-                                  lse_smoothed_margin, lse_smoothed_margin_t,
-                                  max_margin_over_classes, negative_margin,
-                                  nll_of_probs, zero_one_error)
-from marginlab.tensor import Tensor
+from marginlab.objectives import (cross_entropy, cross_entropy_rows, entropy,
+                                  lambda_star, lse_smoothed_margin,
+                                  max_margin_over_classes, nll_of_probs,
+                                  zero_one_error)
 
 
 def test_cross_entropy_uniform_logits():
-    assert cross_entropy(np.zeros(10), 3).item() == pytest.approx(np.log(10.0))
+    assert cross_entropy(np.zeros((1, 10)), [3]).item() == pytest.approx(np.log(10.0))
+    assert cross_entropy_rows(np.zeros((1, 10)), np.array([3]))[0][0] == \
+        pytest.approx(np.log(10.0))
 
 
 def test_cross_entropy_out_of_range():
     with pytest.raises(ValueError):
-        cross_entropy(np.zeros(3), 5)
+        cross_entropy(np.zeros((1, 3)), [5])
+    with pytest.raises(ValueError):
+        cross_entropy_rows(np.zeros((1, 3)), np.array([5]))
 
 
 def test_nll_of_explicit_probability_vectors():
@@ -32,14 +35,6 @@ def test_zero_one_error_cases():
     s = 0.8 / np.sqrt(2.0)
     assert zero_one_error([1 - s, -s, s], 0) == 1
     assert zero_one_error([1.0, 1.0, 1.0], 0) == 0  # lowest-index tie-break
-
-
-def test_negative_margin_values():
-    assert negative_margin([0.2, 0.0, 0.0], 0, 2).item() == pytest.approx(-0.2)
-    assert negative_margin([0.7, -0.3], 1, 1).item() == 0.0
-    s = 0.8 / np.sqrt(2.0)
-    assert negative_margin([1 - s, -s, s], 0, 2).item() == pytest.approx(
-        0.8 * np.sqrt(2.0) - 1.0)
 
 
 def test_max_margin_tie_breaks():
@@ -64,16 +59,6 @@ def test_lse_equal_margins():
         -0.2 + np.log(2.0) / 10.0)
 
 
-def test_lse_tensor_version_matches_scalar():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        logits = rng.normal(size=5)
-        y = int(rng.integers(5))
-        mu = float(rng.uniform(0.5, 30.0))
-        assert lse_smoothed_margin_t(Tensor(logits), y, mu).item() == \
-            pytest.approx(lse_smoothed_margin(logits, y, mu), abs=1e-12)
-
-
 def test_lambda_star_cases():
     w = lambda_star(np.array([0.0, 0.3, 0.3]), 0, 1.0)
     assert np.allclose(w, [0.0, 0.5, 0.5])
@@ -90,8 +75,6 @@ def test_smoothed_margin_rejects_a_mu_that_is_not_positive(mu):
     for closed_form in (lse_smoothed_margin, lambda_star):
         with pytest.raises(ValueError, match="mu"):
             closed_form(logits, 0, mu)
-    with pytest.raises(ValueError, match="mu"):
-        lse_smoothed_margin_t(Tensor(logits), 0, mu)
 
 
 def test_margin_error_equivalence_probes():
@@ -112,8 +95,8 @@ def test_base2_cross_entropy_upper_bounds_error():
     for _ in range(1000):
         logits = rng.normal(size=int(rng.integers(2, 11))) * rng.uniform(0.1, 5.0)
         y = int(rng.integers(logits.size))
-        assert cross_entropy(logits, y, base=2).item() >= \
-            zero_one_error(logits, y)
+        base2 = cross_entropy_rows(logits[None], np.array([y]))[0][0] / np.log(2.0)
+        assert base2 >= zero_one_error(logits, y)
 
 
 def test_lse_sandwich():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from marginlab.objectives import cross_entropy, negative_margin
-from marginlab.tensor import (ShapeError, Tensor, affine, finite_diff_check,
-                              matmul, mul, relu, tsum)
+from marginlab.cli import gradient_error
+from marginlab.objectives import cross_entropy
+from marginlab.tensor import ShapeError, Tensor, affine, matmul, mul, relu, tsum
 
 
 def test_affine_fixed_weight():
@@ -69,9 +69,9 @@ def test_backward_requires_scalar():
 
 
 def test_cross_entropy_gradient_is_softmax_minus_onehot():
-    logits = Tensor([0.0, 0.0], requires_grad=True)
-    cross_entropy(logits, 1).backward()
-    assert np.allclose(logits.grad, [0.5, -0.5])
+    logits = Tensor([[0.0, 0.0]], requires_grad=True)
+    tsum(cross_entropy(logits, [1])).backward()
+    assert np.allclose(logits.grad, [[0.5, -0.5]])
 
 
 def test_offpath_leaf_gets_no_gradient_contribution():
@@ -82,32 +82,50 @@ def test_offpath_leaf_gets_no_gradient_contribution():
     assert y.grad is None  # never entered the graph
 
 
+def test_node_above_no_gradient_leaf_gets_no_gradient():
+    # sbeta_at's slot points Tensor(X) + eta: with eta constant, backward must
+    # not compute a gradient at the points
+    x = Tensor([1.0], requires_grad=True)
+    points = Tensor([4.0]) + Tensor([5.0])
+    tsum(mul(x, points)).backward()
+    assert np.allclose(x.grad, 9.0)
+    assert points.grad is None
+
+
+def graph_gradient_error(fn, point):
+    """gradient_error of the scalar graph function fn(Tensor) at point, its
+    analytic gradient by backpropagation."""
+    x = Tensor(point, requires_grad=True)
+    fn(x).backward()
+    return gradient_error(lambda v: fn(Tensor(v)).item(), point, x.grad)
+
+
 def test_finite_diff_sum_of_squares():
-    err = finite_diff_check(lambda t: tsum(mul(t, t)), Tensor([1.0, 2.0]))
+    err = graph_gradient_error(lambda t: tsum(mul(t, t)), np.array([1.0, 2.0]))
     assert err < 1e-6
 
 
 def test_finite_diff_constant():
-    err = finite_diff_check(lambda t: Tensor(7.0) + tsum(mul(t, 0.0)),
-                            Tensor([1.0, -3.0]))
+    err = graph_gradient_error(lambda t: Tensor(7.0) + tsum(mul(t, 0.0)),
+                               np.array([1.0, -3.0]))
     assert err == 0.0
 
 
 def test_finite_diff_linear_margin():
     w = np.array([[0.3, -0.5, 1.1], [0.2, 0.8, -0.4]])
 
-    def margin(x):
+    def margin(x):  # the margin of class 2 over class 0
         logits = affine(x, w, np.zeros(3))
-        return negative_margin(tsum(logits, axis=0), 0, 2)
+        return tsum(mul(logits, np.array([-1.0, 0.0, 1.0])))
 
-    err = finite_diff_check(margin, Tensor([[0.4, -0.2]]))
+    err = graph_gradient_error(margin, np.array([[0.4, -0.2]]))
     assert err < 1e-6
     # analytic gradient is w[:,2] - w[:,0]
 
 
 def test_finite_diff_rejects_bad_step():
     with pytest.raises(ValueError):
-        finite_diff_check(lambda t: tsum(t), Tensor([1.0]), h=0.0)
+        gradient_error(lambda v: float(np.sum(v)), np.array([1.0]), 1.0, h=0.0)
 
 
 def test_gradcheck_random_compositions():
@@ -121,9 +139,9 @@ def test_gradcheck_random_compositions():
 
         def loss(x):
             h = relu(affine(x, w1, np.zeros(4)))
-            return cross_entropy(tsum(affine(h, w2, np.zeros(2)), axis=0), y)
+            return tsum(cross_entropy(affine(h, w2, np.zeros(2)), [y]))
 
-        worst = max(worst, finite_diff_check(loss, Tensor(x0)))
+        worst = max(worst, graph_gradient_error(loss, x0))
     assert worst < 1e-5
 
 
