@@ -98,15 +98,13 @@ class AttackResult:
     j_star: int
     margin_value: float
     success: bool
-    per_class_margins: np.ndarray
 
 
 def _result_at(spec, params, x, y, eta) -> AttackResult:
     logits = forward(spec, params, np.atleast_2d(x + eta))[0][0]
     return AttackResult(np.asarray(eta, dtype=np.float64),
                         *max_margin_over_classes(logits, y),
-                        success=bool(zero_one_error(logits, y)),
-                        per_class_margins=logits - logits[int(y)])
+                        success=bool(zero_one_error(logits, y)))
 
 
 # -- feasible set --------------------------------------------------------------
@@ -643,10 +641,8 @@ def closed_form_linear_attack(weight, bias, x, y: int, epsilon: float,
             best = (margin, j, eta)
     margin, j_star, eta = best
     logits = (x + eta) @ weight + bias
-    margins = logits - logits[y]
     return AttackResult(eta_star=eta, j_star=j_star, margin_value=margin,
-                        success=bool(zero_one_error(logits, y)),
-                        per_class_margins=margins)
+                        success=bool(zero_one_error(logits, y)))
 
 
 def check_resolution(resolution) -> None:
@@ -706,7 +702,6 @@ def grid_oracle_attack(spec: ModelSpec, params: dict, x, y: int,
         j_star=j_star,
         margin_value=float(best_per_pt[idx]),
         success=bool((np.argmax(logits, axis=1) != int(y)).any()),
-        per_class_margins=margins[idx],
     )
 
 

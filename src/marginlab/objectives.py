@@ -7,8 +7,6 @@ import numpy as np
 
 from .tensor import Tensor, as_tensor, logsumexp, sub, take_per_row
 
-_LN2 = float(np.log(2.0))
-
 
 def cross_entropy(logits, y) -> Tensor:
     """-log softmax(logits)[y] per row of logits[n,K], differentiable; y is a
@@ -19,6 +17,7 @@ def cross_entropy(logits, y) -> Tensor:
 
 
 def check_classes(k, *labels):
+    labels = [np.asarray(c) for c in labels]
     if any(np.any(c < 0) or np.any(c >= k) for c in labels):
         raise ValueError("class index out of range")
 
@@ -52,11 +51,9 @@ def margin_rows(y, targets, k, shape):
     return objective
 
 
-def nll_of_probs(probs, y: int, base="e") -> float:
+def nll_of_probs(probs, y: int) -> float:
     """-log probs[y] for an explicit probability vector."""
-    p = np.asarray(probs, dtype=np.float64)
-    val = -np.log(p[int(y)])
-    return float(val / _LN2) if base == 2 else float(val)
+    return float(-np.log(np.asarray(probs, dtype=np.float64)[int(y)]))
 
 
 def zero_one_error(logits, y: int) -> int:

@@ -19,7 +19,7 @@ from .models import (Checkpoint, ModelSpec, backward, forward, forward_logits,
 from .objectives import cross_entropy, cross_entropy_rows
 from .optim import KINDS, OptimState
 from .optim import step as opt_step
-from .tensor import Tensor, sub, take_per_row, texp, tsum, mul, div
+from .tensor import Tensor, div, mul, reshape, sub, take_per_row, texp, tsum
 
 ALGORITHMS = ("erm", "pgd_at", "beta_at", "sbeta_at")
 ATTACK_KINDS = ("fgsm", "pgd", "beta", "grid_oracle")
@@ -170,29 +170,22 @@ def _on_graph(loss_t):
     return loss_of
 
 
-def sbeta_weighted_loss(spec, params, X, y, slot_etas, wrong, mu) -> Tensor:
-    """Margin-softmax weighted cross-entropy over all per-class perturbations,
-    as a differentiable scalar; the weights stay inside the graph, so
-    gradients flow through them as well as through the per-term losses.
-    Slot s's points are Tensor(X) + slot_etas[s], so an eta given as a
-    gradient leaf gets its gradient too."""
-    X = Tensor(X)
-    margins, ces = [], []
-    for s in range(len(slot_etas)):
-        logits = forward_logits(spec, params, X + slot_etas[s])
-        m = sub(take_per_row(logits, wrong[:, s]), take_per_row(logits, y))
-        margins.append(m)
-        ces.append(cross_entropy(logits, y))
-    shift = np.max(np.stack([m.data for m in margins]) * mu, axis=0)
-    exps = [texp(sub(mul(m, mu), Tensor(shift))) for m in margins]
-    denom = exps[0]
-    for e in exps[1:]:
-        denom = denom + e
-    weighted = None
-    for e, ce in zip(exps, ces):
-        term = mul(div(e, denom), ce)
-        weighted = term if weighted is None else weighted + term
-    return mul(tsum(weighted), 1.0 / X.shape[0])
+def sbeta_weighted_loss(spec, params, X, y, slot_etas, mu) -> Tensor:
+    """Margin-softmax weighted cross-entropy over the K-1 per-class
+    perturbations slot_etas[K-1, n, d], as a differentiable scalar; the
+    weights stay inside the graph, so gradients flow through them as well as
+    through the per-term losses.  One graph runs over the flat slot points
+    Tensor(X) + slot_etas, slot-major, so an eta stack given as a gradient
+    leaf gets its gradient too."""
+    (n, d), slots = X.shape, spec.class_count - 1
+    points = reshape(Tensor(X) + slot_etas, (slots * n, d))
+    logits = forward_logits(spec, params, points)
+    labels = np.tile(y, slots)
+    m = reshape(sub(take_per_row(logits, wrong_classes(y, slots + 1).T.ravel()),
+                    take_per_row(logits, labels)), (slots, n))
+    ces = reshape(cross_entropy(logits, labels), (slots, n))
+    exps = texp(sub(mul(m, mu), Tensor(np.max(m.data * mu, axis=0))))
+    return mul(tsum(mul(div(exps, tsum(exps, axis=0)), ces)), 1.0 / n)
 
 
 def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
@@ -246,8 +239,7 @@ def run_training(spec: ModelSpec, train_data: Dataset, cfg: TrainConfig,
                                                      seed=key, slots=slot_etas)
                 loss_of = (_mean_cross_entropy(spec, X + etas, y) if slot_etas is None
                            else _on_graph(lambda p: sbeta_weighted_loss(
-                               spec, p, X, y, slot_etas,
-                               wrong_classes(y, spec.class_count), cfg.mu)))
+                               spec, p, X, y, slot_etas, cfg.mu)))
             if hook is not None and attacked:
                 hook(epoch, step_i, X, y, etas, j_stars)
             params, loss = _descend(params, optimizers, lr, loss_of)

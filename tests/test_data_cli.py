@@ -342,8 +342,7 @@ def test_cli_oracle_reports_a_disagreement(tmp_path, capsys, monkeypatch):
     save_checkpoint(ckpt, Checkpoint(spec, init_params(spec, 0), {}))
     # a positive margin that did not misclassify: the oracle contradicts itself
     monkeypatch.setattr(cli, "grid_oracle_attack",
-                        lambda *a: AttackResult(np.zeros(2), 1, 1.0, False,
-                                                     np.zeros(3)))
+                        lambda *a: AttackResult(np.zeros(2), 1, 1.0, False))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"checkpoint": ckpt, "dataset": {"n": 6}}))
     assert main(["oracle", "--config", str(path)]) == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from marginlab.objectives import (cross_entropy, cross_entropy_rows, entropy,
-                                  lambda_star, lse_smoothed_margin,
+                                  lambda_star, lse_smoothed_margin, margin_rows,
                                   max_margin_over_classes, nll_of_probs,
                                   zero_one_error)
 
@@ -18,6 +18,18 @@ def test_cross_entropy_out_of_range():
         cross_entropy(np.zeros((1, 3)), [5])
     with pytest.raises(ValueError):
         cross_entropy_rows(np.zeros((1, 3)), np.array([5]))
+
+
+def test_kernel_objectives_take_list_labels():
+    ces, grad = cross_entropy_rows(np.zeros((1, 3)), [1])
+    assert ces[0] == pytest.approx(np.log(3.0))
+    assert grad[0, 1] == pytest.approx(1.0 / 3.0 - 1.0)
+    margins, grad = margin_rows([0], [2], 3, (1,))(np.array([[0.5, 0.0, 2.0]]))
+    assert margins.tolist() == [1.5] and grad.tolist() == [[-1.0, 0.0, 1.0]]
+    with pytest.raises(ValueError):
+        cross_entropy_rows(np.zeros((1, 3)), [3])
+    with pytest.raises(ValueError):
+        margin_rows([0], [3], 3, (1,))
 
 
 def test_nll_of_explicit_probability_vectors():

@@ -9,9 +9,10 @@ from marginlab import attacks, training
 from marginlab.attacks import (AttackConfig, beta_attack_batch, grid_oracle_attack,
                                wrong_classes)
 from marginlab.data import TRAIN, DatasetSpec, Dataset, generate_dataset
-from marginlab.models import (ModelSpec, forward_logits, init_params, linear_model,
-                              predict)
-from marginlab.objectives import cross_entropy
+from marginlab.models import (ModelSpec, backward, forward, forward_logits, init_params,
+                              linear_model, predict)
+from marginlab.objectives import (cross_entropy, cross_entropy_rows, lambda_star,
+                                  margin_rows)
 from marginlab.tensor import Tensor
 from marginlab.training import (TrainConfig, evaluate_robust, run_training,
                                 sbeta_weighted_loss, select_checkpoints)
@@ -96,12 +97,12 @@ def test_sbeta_weights_saturate_at_large_mu():
     params = init_params(spec, 6)
     X = np.array([[0.3, 0.7]])
     y = np.array([0])
-    wrong = np.array([[1, 2]])
-    slot_etas = [np.array([[0.02, 0.0]]), np.array([[0.0, -0.02]])]
-    big = sbeta_weighted_loss(spec, params, X, y, slot_etas, wrong, 1e3).item()
-    # compare against the single cross-entropy term of the best slot
+    slot_etas = np.array([[[0.02, 0.0]], [[0.0, -0.02]]])
+    big = sbeta_weighted_loss(spec, params, X, y, slot_etas, 1e3).item()
+    # compare against the single cross-entropy term of the best slot (slot
+    # s attacks wrong class s + 1)
     per_term = []
-    for eta, j in zip(slot_etas, wrong[0]):
+    for eta, j in zip(slot_etas, (1, 2)):
         logits = np.asarray(
             np.atleast_2d(X) + eta) @ params["w0"] + params["b0"]
         m = logits[0, j] - logits[0, y[0]]
@@ -109,6 +110,48 @@ def test_sbeta_weights_saturate_at_large_mu():
         per_term.append((m, ce))
     best_ce = max(per_term)[1]
     assert big == pytest.approx(best_ce, abs=1e-6)
+
+
+def _sbeta_closed_form(spec, params, X, y, slot_etas, mu):
+    """(loss, parameter gradients) of sbeta_weighted_loss on the kernel: one
+    forward over the flat slot points, w = lambda_star of each row's slot
+    margins, dL/dce = w/n and dL/dm = mu*w*(ce - sum_s w*ce)/n."""
+    k, (n, d) = spec.class_count, X.shape
+    logits, cache = forward(spec, params, (X + slot_etas).reshape((k - 1) * n, d))
+    wrong, labels = wrong_classes(y, k), np.tile(y, k - 1)
+    margins, dmargins = margin_rows(labels, wrong.T.ravel(), k, ((k - 1) * n,))(logits)
+    m = margins.reshape(k - 1, n)
+    w = np.empty_like(m)
+    for i in range(n):  # the margins as logits, 0 at y
+        row = np.zeros(k)
+        row[wrong[i]] = m[:, i]
+        w[:, i] = lambda_star(row, y[i], mu)[wrong[i]]
+    ces, dlogits = cross_entropy_rows(logits, labels, (w / n).ravel())
+    ces = ces.reshape(k - 1, n)
+    dm = mu * w * (ces - (w * ces).sum(axis=0)) / n
+    dlogits += dm.ravel()[:, None] * dmargins
+    return (w * ces).sum() * (1.0 / n), backward(params, cache, dlogits, "params")
+
+
+@pytest.mark.parametrize("hidden", [None, (16,), (8, 8)])
+@pytest.mark.parametrize("k", [3, 4, 10])
+@pytest.mark.parametrize("mu", [0.1, 1.0, 20.0, 1e3])
+def test_sbeta_graph_loss_matches_the_closed_form(hidden, k, mu):
+    spec = (ModelSpec("linear", 2, k) if hidden is None
+            else ModelSpec("mlp", 2, k, hidden))
+    rng = np.random.default_rng(k)
+    params = {name: rng.normal(size=v.shape)
+              for name, v in init_params(spec, 0).items()}
+    X, y = rng.normal(size=(7, 2)), rng.integers(k, size=7)
+    slot_etas = rng.uniform(-0.05, 0.05, size=(k - 1, 7, 2))
+    loss, grads = training._on_graph(
+        lambda p: sbeta_weighted_loss(spec, p, X, y, slot_etas, mu))(params)
+    ref_loss, ref_grads = _sbeta_closed_form(spec, params, X, y, slot_etas, mu)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    # At mu = 1e3 both forms can sit near this bound from an 80-bit reference
+    # (wider etas read up to 3e-12): dL/dm cancels ce against sum w*ce, times mu
+    for name, ref in ref_grads.items():
+        assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("algorithm", ["beta_at", "sbeta_at"])
