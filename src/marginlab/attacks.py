@@ -12,25 +12,26 @@ makes robust accuracy <= clean accuracy hold exactly during evaluation.
 
 BETA's K-1 per-class problems (slots) are independent.  beta_attack_batch
 holds the one loop over them and the one fold, for training and evaluation
-alike.  Row i takes its slots in an order of its own, order[i]: class order,
-or under a mask live (robust accuracy) most confusable first, by clean
-margin.  One targeted_ascent_batch call runs a group of ranks as an [m,n,d]
-stack with one target per (row, slot) pair, while m*n*max(d, hidden..., K)
-<= 2**15.  Each layer gets its own matmuls, and each pair starts from its
-row of its slot's whole-batch draw, whichever group it runs in, so training
-results are bit-identical to one slot at a time.  Under live a row leaves
-on the first ascent step that gives one of its pairs a margin > 0, since its
-verdict is then known, and a row wrong at x is never attacked; as rows leave,
-the row count of a matmul changes, which can move a 784-d margin in its last
-bits but no verdict.  Once the first group's first iterate is scored, a
-linear relaxation of each ReLU (Wong & Kolter 2018, CROWN) bounds every
-margin of the rows still unbroken over the whole feasible set, at about one
-backward pass per slot (_margin_bounds).  A row whose bounds are all < 0 is
-certified and leaves; a later slot whose bound is below the row's best margin
-so far cannot change its fold, so it is dropped.  The bound is exact for
-linear models, covers one hidden layer, and settles nothing deeper.
-Given a slots array, the loop also hands back every slot's etas, which
-sbeta_at's defender weighs.
+alike.  Each row takes its slots most confusable first, by clean margin.
+One targeted_ascent_batch call runs a group of ranks as an [m,n,d] stack
+with one target per (row, slot) pair, while m*n*max(d, hidden..., K) <=
+2**15.  Each layer gets its own matmuls, and each pair starts from its row
+of its slot's whole-batch draw, whichever group it runs in, so a group over
+all the rows has the bits of one slot at a time.  A linear relaxation of
+each ReLU (Wong & Kolter 2018, CROWN) bounds every margin over the whole
+feasible set, at about one backward pass per slot (_margin_bounds); it is
+exact for linear models, covers one hidden layer, and settles nothing
+deeper.  A later slot whose bound is below the row's best margin so far can
+neither win nor tie its fold, so it is dropped, and the later ranks run over
+the rows that still have some; a smaller row count can move a margin in its
+last bits.  The full fold (beta_at) bounds its pairs once the first group's
+ascent is done.  Under a mask live (robust accuracy) a row wrong at x is
+never attacked, and a row leaves on the first ascent step that gives one of
+its pairs a margin > 0, since its verdict is then known; once the first
+group's first iterate is scored, the rows still unbroken are bounded, and a
+row whose bounds are all < 0 is certified and leaves.  Given a slots array
+(sbeta_at, whose defender weighs every slot), nothing is dropped and the
+loop hands back every slot's etas.
 No attack builds an autodiff graph: the loop, FGSM, the grid oracles and
 single-sample results run the models.forward/backward kernel on per-row
 (values, gradient) objectives, with the graph's bits.
@@ -388,11 +389,14 @@ def targeted_margin_ascent(spec: ModelSpec, params: dict, x, y: int,
     return etas[0], float(margins[0])
 
 
-# rows per chunk of the bounds: [rows*(K-1), max(d, H)] coefficients of at
-# most this many numbers (2 MB).  They run inside an ascent, whose arrays are
-# still held: with 2**20 the 784-d MLP-256 training benchmark peaked at
-# 156-157 MB against 150.6 MB, and 2**18 bounds 482 of its rows as fast.
-_CERT_ELEMS = 2 ** 18
+# rows per chunk of the bounds, which relax one chunk's ReLUs at a time:
+# [rows, K-1, H] margin coefficients of at most this many numbers (512 KB;
+# their image in the input is d/H times as large).  With 2**20 numbers of
+# [rows, K-1, max(d, H)], held inside an ascent, the 784-d MLP-256 training
+# benchmark peaked at 156-157 MB against 150.6 MB.  With 2**15, desk
+# eval_s.pgd read +16% in 10 of 10 pairs: glibc's mmap threshold, which freed
+# chunks raise, stayed below its 256 KB activations, mapped afresh each time.
+_CERT_ELEMS = 2 ** 16
 
 
 def _margin_bounds(spec, params, X, y, cfg: AttackConfig):
@@ -418,46 +422,46 @@ def _margin_bounds(spec, params, X, y, cfg: AttackConfig):
     if len(spec.hidden) > 1:
         return np.full((n, k - 1), np.inf)
     w, b = params[f"w{len(spec.hidden)}"], params[f"b{len(spec.hidden)}"]
-    if cfg.norm == "l_inf":
-        lo, hi = _linf_bounds(X, cfg)
-        base, rad = (lo + hi) * 0.5, (hi - lo) * 0.5
-        reach = np.abs(base).max(axis=1) + rad.max(axis=1)  # >= |x'| anywhere
-    else:
-        base, rad = X, None
-        reach = np.abs(base).max(axis=1) + cfg.epsilon
-    # size[n, K] >= the sum of |terms| of each logit at any feasible point
-    if spec.hidden:
-        w0, b0 = params["w0"], params["b0"]
-        z = base @ w0 + b0
-        r = (cfg.epsilon * np.linalg.norm(w0, axis=0) if rad is None
-             else rad @ np.abs(w0))
-        lower, upper = z - r, z + r
-        unstable = (lower < 0) & (upper > 0)
-        chord = np.divide(upper, upper - lower, out=(lower >= 0) * 1.0, where=unstable)
-        line = (lower >= 0) | unstable & (upper >= -lower)  # lower line: z (1) or 0
-        shift = np.where(unstable, -lower, 0.0)  # upper line: chord * (z + shift)
-        size = (np.outer(reach, np.abs(w0).sum(axis=0)) + np.abs(b0)) @ np.abs(w)
-    else:
-        z = base
-        size = np.outer(reach, np.abs(w).sum(axis=0))
-    size += np.abs(b)
-    wrong, rows = wrong_classes(y, k), np.arange(n)[:, None]
-    out = 1e-9 * (1 + size[rows, wrong] + size[rows, y[:, None]])  # tau
-    step = max(1, _CERT_ELEMS // ((k - 1) * max(z.shape[1], X.shape[1])))
+    w0, b0 = params["w0"], params["b0"]  # a linear model's output layer
+    w0_abs = np.abs(w0)
+    w0_sum = w0_abs.sum(axis=0)
+    radius = cfg.epsilon * np.linalg.norm(w0, axis=0) if cfg.norm == "l2" else None
+    wrong, out = wrong_classes(y, k), np.empty((n, k - 1))
+    step = max(1, _CERT_ELEMS // ((k - 1) * len(w)))
     for s in range(0, n, step):
         i = slice(s, s + step)
+        if cfg.norm == "l_inf":
+            lo, hi = _linf_bounds(X[i], cfg)
+            base, rad = (lo + hi) * 0.5, (hi - lo) * 0.5
+            reach = np.abs(base).max(axis=1) + rad.max(axis=1)  # >= |x'| anywhere
+        else:
+            base, rad = X[i], None
+            reach = np.abs(base).max(axis=1) + cfg.epsilon
+        # size[rows, K] >= the sum of |terms| of each logit at any feasible point
+        size = np.outer(reach, w0_sum)
         a = w.T[wrong[i]]  # [rows, K-1, H]: margin = a . h + db
         a -= w.T[y[i]][:, None]
         bound = b[wrong[i]] - b[y[i]][:, None]
         if spec.hidden:
-            a *= np.where(a >= 0, chord[i, None], line[i, None])
-            bound += (np.maximum(a, 0) @ shift[i, :, None])[..., 0]
+            z = base @ w0 + b0
+            r = radius if rad is None else rad @ w0_abs  # the intervals' radii
+            lower, upper = z - r, z + r
+            unstable = (lower < 0) & (upper > 0)
+            chord = np.divide(upper, upper - lower, out=(lower >= 0) * 1.0, where=unstable)
+            line = (lower >= 0) | unstable & (upper >= -lower)  # lower line: z (1) or 0
+            shift = np.where(unstable, -lower, 0.0)  # upper line: chord * (z + shift)
+            size = (size + np.abs(b0)) @ np.abs(w)
+            a *= np.where(a >= 0, chord[:, None], line[:, None])
+            bound += (np.maximum(a, 0) @ shift[:, :, None])[..., 0]
             coef = (a.reshape(-1, a.shape[2]) @ w0.T).reshape(*a.shape[:2], -1)
         else:
-            coef = a
-        bound += (a @ z[i, :, None])[..., 0]
+            z, coef = base, a
+        size += np.abs(b)
+        bound += (a @ z[:, :, None])[..., 0]
         bound += (cfg.epsilon * np.linalg.norm(coef, axis=2) if rad is None
-                  else (np.abs(coef, out=coef) @ rad[i, :, None])[..., 0])
+                  else (np.abs(coef, out=coef) @ rad[:, :, None])[..., 0])
+        rows = np.arange(len(size))[:, None]
+        out[i] = 1e-9 * (1 + size[rows, wrong[i]] + size[rows, y[i, None]])  # tau
         out[i] += bound
     return out
 
@@ -469,25 +473,27 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     (etas[n,d], j_stars[n], margins[n]), the lowest class on equal margins.
     The one loop over BETA's slots: slot s of row i targets column s of
     wrong_classes(y, K) and starts from row i of the whole-batch draw keyed
-    _key(seed, cfg, s), whichever round it runs in.  Row i takes its slots
-    in the order order[i]: class order, or with a bool mask live, most
-    confusable first (largest clean margin, the lower slot on ties).  Ranks
-    run in groups of (row, slot) pairs, one targeted_ascent_batch call each,
-    while m*rows*max(d, hidden..., K) <= _GROUP_ELEMS; without live this has
-    exactly the bits of one call per slot.  The clean logits are computed
-    once, or passed as logits[n,K].  A mask live attacks only its rows and
-    retires each row after the first ascent step that gives one of its pairs
-    a margin > 0: it returns that step's best candidate, and rows never
-    attacked keep eta 0, j* 0 and margin -inf.  Under live the first group
-    also bounds every pair of the rows still unbroken once its first iterate
-    is scored (_margin_bounds; not with cfg.steps < 2, nor for a model of two
-    or more hidden layers): a row whose bounds are all < 0 is certified and
-    leaves the ascent there with its best candidate so far, its margin <= 0,
-    and a later slot whose bound is below the row's best margin at that
-    iterate is dropped, since it can neither break the row nor win its fold.
+    _key(seed, cfg, s), whichever round it runs in.  Each row takes its
+    slots most confusable first (largest clean margin, the lower slot on
+    ties), in groups of (row, slot) pairs, one targeted_ascent_batch call
+    each, while m*rows*max(d, hidden..., K) <= _GROUP_ELEMS.  The clean
+    logits are computed once, or passed as logits[n,K].  Once the first
+    group's ascent is done, the full fold bounds every pair (_margin_bounds;
+    no bound for two or more hidden layers) and drops each later pair whose
+    bound is below the row's best margin, since it can neither win nor tie
+    the fold; the later ranks run over the rows that still have some, and
+    the smaller row count can move a margin in its last bits.  An array
+    slots[K-1,n,d] receives each slot's etas, and then nothing is dropped.
+    A mask live attacks only its rows and retires each row after the first
+    ascent step that gives one of its pairs a margin > 0: it returns that
+    step's best candidate, and rows never attacked keep eta 0, j* 0 and
+    margin -inf.  Under live the bounds run inside the first group instead,
+    on the rows still unbroken once its first iterate is scored (not with
+    cfg.steps < 2): a row whose bounds are all < 0 is certified and leaves
+    the ascent there with its best candidate so far, its margin <= 0, and a
+    later slot is dropped against the row's best margin at that iterate.
     The open slots run first and a row leaves once none are left, so the
-    best class, its eta and the verdict are the full fold's.  An array
-    slots[K-1,n,d] receives each slot's etas at the rows it attacks."""
+    best class, its eta and the verdict are the full fold's."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
     (n, d), k = X.shape, spec.class_count
@@ -497,38 +503,41 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     logits = forward(spec, params, X)[0] if logits is None else logits
     rows = np.arange(n)
     clean = logits[rows[:, None], wrong] - logits[rows, y][:, None]  # [n, K-1] margins
-    order = (np.broadcast_to(np.arange(k - 1), clean.shape) if live is None
-             else np.argsort(-clean, axis=1, kind="stable"))
+    order = np.argsort(-clean, axis=1, kind="stable")
     draw = _slot_draws(seed, cfg, (k - 1, n, d))
-    live = None if live is None else live.copy()
+    full, live = live is None, np.ones(n, bool) if live is None else live.copy()
     stop = np.full(n, k - 1)  # each row runs its ranks below stop
 
-    def certify(sub, g):
-        # called inside the first group's call, so at and m are that group's
-        i = at[sub]
-        bounds = _margin_bounds(spec, params, X[i], y[i], cfg)
-        proved = (bounds < 0).all(axis=1)
+    def drop(i, bounds, g):
+        # rows i's later ranks (m is the first group's) whose bound is < g
+        # can neither win nor tie the fold: they move past stop
         later = order[i, m:]
         shut = np.take_along_axis(bounds, later, axis=1) < g[:, None]
-        shut[proved] = True
         order[i, m:] = np.take_along_axis(later, np.argsort(shut, axis=1, kind="stable"),
                                           axis=1)
         stop[i] -= shut.sum(axis=1)
+
+    def certify(sub, g):
+        # called inside the first group's call; a certified row drops them all
+        i = at[sub]
+        bounds = _margin_bounds(spec, params, X[i], y[i], cfg)
+        proved = (bounds < 0).all(axis=1)
+        drop(i, bounds, np.where(proved, np.inf, g))
         return proved
     first = 0
-    while first < k - 1 and (live is None or live.any()):
-        at = rows if live is None else np.flatnonzero(live)
+    while first < k - 1 and live.any():
+        at = np.flatnonzero(live)
         # at most the ranks a row of at has left (each has stop > first)
-        m = min(np.max(stop[at], initial=first + 1) - first,
-                max(1, _GROUP_ELEMS // max(1, len(at) * max(d, *spec.hidden, k))))
+        m = min(np.max(stop[at]) - first,
+                max(1, _GROUP_ELEMS // (len(at) * max(d, *spec.hidden, k))))
         slot_of = order[at, first:first + m].T  # [m, rows]
         targets = wrong[at, slot_of]
-        part = X if live is None else X[at]
+        part = X if len(at) == n else X[at]
         etas, margins = targeted_ascent_batch(
             spec, params, np.broadcast_to(part, (m, *part.shape)),
             y[at], targets, cfg, draw=lambda: draw(slot_of, at),
-            clean=clean[at, slot_of], retire=live is not None,
-            certify=None if live is None or first else certify)
+            clean=clean[at, slot_of], retire=not full,
+            certify=None if full or first else certify)
         if slots is not None:
             slots[slot_of, at] = etas
         # each row's best layer, then against its best so far; the lower
@@ -539,10 +548,12 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
         better = (new_m > kept_m) | ((new_m == kept_m) & (new_j < best[1][at]))
         for kept, value in zip(best, (etas, targets, margins)):
             kept[at[better]] = value[layer[better], cols[better]]
+        if full and slots is None and not first and m < k - 1:  # sbeta_at keeps all
+            drop(rows, _margin_bounds(spec, params, X, y, cfg), best[2])
         first += m
-        if live is not None:
+        if not full:
             live[at[(margins > 0).any(axis=0)]] = False
-            live &= stop > first
+        live &= stop > first
     return best
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from marginlab import attacks
 from marginlab.attacks import (AttackConfig, _gather, _key, _linf_bounds, _margin_bounds,
                                _slot_draws, _uniform_start, beta_attack,
                                beta_attack_batch,
@@ -411,6 +412,117 @@ def test_beta_slots_are_the_serial_slot_ascents(n, hidden, k):
         assert np.array_equal(etas, best[0])
         assert np.array_equal(j_stars, best[1])
         assert np.array_equal(margins, best[2])
+
+
+def _serial_fold(spec, params, X, y, cfg):
+    """BETA's full fold one slot at a time, in class order: ((etas, j*,
+    margins), a later slot taking a row only with a strictly larger margin;
+    every slot's margins [n, K-1])."""
+    k = spec.class_count
+    best = (np.zeros_like(X), np.zeros(len(X), dtype=np.intp), np.full(len(X), -np.inf))
+    per_slot = np.empty((len(X), k - 1))
+    for s in range(k - 1):
+        targets = wrong_classes(y, k)[:, s]
+        eta_s, per_slot[:, s] = targeted_ascent_batch(
+            spec, params, X, y, targets, cfg,
+            draw=lambda: stream(*_key(None, cfg, s)).random(X.shape))
+        better = per_slot[:, s] > best[2]
+        for kept, new in zip(best, (eta_s, targets, per_slot[:, s])):
+            kept[better] = new[better]
+    return best, per_slot
+
+
+def _fold_with_pairs(spec, params, X, y, cfg, slots=None):
+    """(beta_attack_batch's fold, ran): ran[i] lists the classes that the
+    ascents of row i targeted."""
+    where = {x.tobytes(): i for i, x in enumerate(X)}
+    ran = [[] for _ in X]
+
+    def recording(spec, params, stack, y, targets, cfg, **kwargs):
+        for i, t in zip((where[x.tobytes()] for x in stack[0]), targets.T):
+            ran[i].extend(t.tolist())
+        return targeted_ascent_batch(spec, params, stack, y, targets, cfg, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(attacks, "targeted_ascent_batch", recording)
+        fold = beta_attack_batch(spec, params, X, y, cfg, slots=slots)
+    return fold, ran
+
+
+@pytest.mark.parametrize("norm", ["l_inf", "l2"])
+@pytest.mark.parametrize("k", [3, 5, 10])
+@pytest.mark.parametrize("hidden", [(), (48,), (8, 8)], ids=["linear", "mlp", "mlp-8-8"])
+def test_beta_fold_drops_only_the_pairs_that_cannot_win(hidden, k, norm):
+    # 1000 rows of d = 40 run one rank per group: each row's most confusable
+    # class first, then the bounds U of every pair (_margin_bounds) against
+    # the row's best margin g so far.  A later pair with U < g can neither
+    # win nor tie the fold, so it is dropped, and the later ranks run over
+    # the rows that still have some.  Against the serial fold j* is equal,
+    # and a linear model's fold bit for bit; an MLP-48's later groups run
+    # on row subsets, whose margins may move in their last bits.  A deeper
+    # MLP's bounds are +inf, so it runs every pair, and so does sbeta_at's
+    # slots path.  With the last two classes tied and no steps, their
+    # margins are equal everywhere: the upper one is never dropped where
+    # the lower one holds g, and the lower one keeps the row.  (A tie that
+    # two ascents reach is exact only when both run on the same rows.)
+    rng = np.random.default_rng(k)
+    n = 1000
+    spec = ModelSpec("mlp" if hidden else "linear", 40, k, hidden)
+    params = init_params(spec, 3)
+    X, y = rng.uniform(size=(n, 40)), rng.integers(k, size=n)
+    # the last two classes share a column, raised to be the best in about
+    # half the rows
+    w, b = f"w{len(hidden)}", f"b{len(hidden)}"
+    tie = [*range(k - 1), k - 2]
+    logits = forward_logits(spec, params, X).data
+    bump = (np.array(tie) == k - 2) * np.median(logits.max(axis=1) - logits[:, k - 2])
+    tied = {**params, w: params[w][:, tie], b: params[b][tie] + bump}
+    cfg = AttackConfig(epsilon=0.05 if norm == "l2" else 0.01, norm=norm, seed=4)
+    for model, steps in ((params, 3), (tied, 0)):
+        cfg = replace(cfg, steps=steps)
+        (etas, j_stars, margins), ran = _fold_with_pairs(spec, model, X, y, cfg)
+        (ref_etas, ref_j, ref_margins), per_slot = _serial_fold(spec, model, X, y, cfg)
+        assert np.array_equal(j_stars, ref_j)
+        if hidden:
+            assert np.allclose(margins, ref_margins, rtol=1e-12, atol=0)
+        else:
+            assert np.array_equal(etas, ref_etas)
+            assert np.array_equal(margins, ref_margins)
+        pairs = sum(map(len, ran))
+        if len(hidden) > 1:
+            assert pairs == n * (k - 1)
+        else:
+            assert pairs < n * (k - 1)
+        # each pair ran at most once, and every pair whose U reaches g, the
+        # margin of the row's first pair (whose group runs on every row), ran
+        bounds = _margin_bounds(spec, model, X, y, cfg)
+        raw = forward_logits(spec, model, X).data
+        clean = np.take_along_axis(raw, wrong_classes(y, k), 1) - raw[np.arange(n), y, None]
+        g = per_slot[np.arange(n), np.argsort(-clean, axis=1, kind="stable")[:, 0]]
+        for i, classes in enumerate(ran):
+            assert len(set(classes)) == len(classes)
+            assert np.isin(wrong_classes(y, k)[i, bounds[i] >= g[i]], classes).all()
+        if model is tied:
+            lower = (j_stars == k - 2) & (y < k - 2)
+            assert lower.sum() > 100
+            assert all(k - 1 in ran[i] for i in np.flatnonzero(lower))
+    slots = np.empty((k - 1, n, 40))
+    ran = _fold_with_pairs(spec, tied, X, y, cfg, slots)[1]
+    assert sum(map(len, ran)) == n * (k - 1)
+
+
+def test_beta_fold_drops_pairs_bit_for_bit_at_784d():
+    # the training benchmark's shape: a 64-row batch at 784-d, MLP-256,
+    # K = 10, one rank per group; the fold that drops pairs has the serial
+    # fold's bits
+    rng = np.random.default_rng(21)
+    spec = ModelSpec("mlp", 784, 10, (256,))
+    params = init_params(spec, 5)
+    X, y = rng.uniform(size=(64, 784)), rng.integers(10, size=64)
+    cfg = AttackConfig(epsilon=8 / 255, steps=3, seed=2)
+    fold, ran = _fold_with_pairs(spec, params, X, y, cfg)
+    assert sum(map(len, ran)) < 64 * 9
+    for got, want in zip(fold, _serial_fold(spec, params, X, y, cfg)[0]):
+        assert np.array_equal(got, want)
 
 
 def test_targeted_batch_on_a_stack_is_one_call_per_layer():

@@ -231,9 +231,11 @@ def erm_model(k, hidden, n=600):
     return spec, run.selection.last.params, data
 
 
-def _robust_equals_the_full_fold(monkeypatch, spec, params, data, cfgs):
-    """(evaluate_robust's beta score, rows certified) per cfg, the score
-    checked against the full fold; with steps < 2 no bound is computed."""
+def _robust_equals_the_full_fold(spec, params, data, cfgs):
+    """(evaluate_robust's beta score, rows it certified) per cfg, the score
+    checked against the full fold; with steps < 2 evaluate_robust computes
+    no bound.  Only evaluate_robust's bounds are recorded: the full fold
+    bounds its later ranks too."""
     correct = predict(spec, params, data.X) == data.y
     margin_bounds, retired = attacks._margin_bounds, []
 
@@ -242,20 +244,21 @@ def _robust_equals_the_full_fold(monkeypatch, spec, params, data, cfgs):
         out = margin_bounds(*args)
         retired[-1] += int((out < 0).all(axis=1).sum())
         return out
-    monkeypatch.setattr(attacks, "_margin_bounds", recording)
     scores = []
     for cfg in cfgs:
         etas = beta_attack_batch(spec, params, data.X, data.y, cfg)[0]
         full = np.mean(correct & (predict(spec, params, data.X + etas) == data.y))
         retired.append(0)
-        scores.append(evaluate_robust(spec, params, data, "beta", cfg)["robust"])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(attacks, "_margin_bounds", recording)
+            scores.append(evaluate_robust(spec, params, data, "beta", cfg)["robust"])
         assert scores[-1] == full
     return scores, retired
 
 
 @pytest.mark.parametrize("k", [2, 3, 10])
 @pytest.mark.parametrize("hidden", [(), (64,)], ids=["linear", "mlp"])
-def test_beta_early_exit_accuracy_equals_the_full_fold(monkeypatch, hidden, k):
+def test_beta_early_exit_accuracy_equals_the_full_fold(hidden, k):
     # 600 rows stack 5 linear slots per group, and MLP-64 slots once rows
     # leave, so rows drop out between groups and the rest regroup.  With the
     # last two classes' weights and biases tied, their margin is exactly 0
@@ -271,7 +274,7 @@ def test_beta_early_exit_accuracy_equals_the_full_fold(monkeypatch, hidden, k):
         cfg = AttackConfig(epsilon=eps, norm=norm, steps=5, box=box, seed=3)
         for model in (params, tied):
             _, retired = _robust_equals_the_full_fold(
-                monkeypatch, spec, model, data,
+                spec, model, data,
                 [replace(cfg, steps=steps) for steps in (5, 0, 1, 2)])
             if eps == 0.02 and model is params:
                 assert retired[0] > 0
@@ -279,7 +282,7 @@ def test_beta_early_exit_accuracy_equals_the_full_fold(monkeypatch, hidden, k):
 
 @pytest.mark.parametrize("k", [5, 10])
 @pytest.mark.parametrize("hidden", [(), (64,)], ids=["linear", "mlp"])
-def test_beta_early_exit_keeps_the_full_folds_best_class(monkeypatch, hidden, k):
+def test_beta_early_exit_keeps_the_full_folds_best_class(hidden, k):
     # a class is dropped only when its bound is below the row's best margin
     # at the first iterate, so it could never have won the fold: every row
     # neither broken nor certified keeps the full fold's j*.  Dropping every
@@ -294,14 +297,15 @@ def test_beta_early_exit_keeps_the_full_folds_best_class(monkeypatch, hidden, k)
         out = margin_bounds(spec, params, X, y, cfg)
         certified.extend(where[x.tobytes()] for x in X[(out < 0).all(axis=1)])
         return out
-    monkeypatch.setattr(attacks, "_margin_bounds", recording)
     checked = 0
     for norm, box, eps in itertools.product(("l_inf", "l2"), (True, False),
                                             (0.1, 0.2, 0.3)):
         cfg = AttackConfig(epsilon=eps, norm=norm, steps=5, box=box, seed=3)
         certified.clear()
-        _, j_stars, margins = beta_attack_batch(spec, params, data.X, data.y, cfg,
-                                                live=correct)
+        with pytest.MonkeyPatch.context() as patch:  # the rows live certifies
+            patch.setattr(attacks, "_margin_bounds", recording)
+            _, j_stars, margins = beta_attack_batch(spec, params, data.X, data.y, cfg,
+                                                    live=correct)
         full = beta_attack_batch(spec, params, data.X, data.y, cfg)[1]
         unsettled = correct & ~(margins > 0)
         unsettled[certified] = False
@@ -310,7 +314,7 @@ def test_beta_early_exit_keeps_the_full_folds_best_class(monkeypatch, hidden, k)
     assert checked > 0  # few for a linear model, whose exact bound settles the rest
 
 
-def test_beta_early_exit_accuracy_equals_the_full_fold_at_784d(monkeypatch):
+def test_beta_early_exit_accuracy_equals_the_full_fold_at_784d():
     # MLP-256 at K=10, the benchmark's shape: margins of a row subset may
     # move in their last bits with the row count, verdicts must not; the
     # certificate retires rows at the smallest eps
@@ -319,7 +323,7 @@ def test_beta_early_exit_accuracy_equals_the_full_fold_at_784d(monkeypatch):
     params = init_params(spec, 5)
     X = rng.uniform(size=(200, 784))
     data = Dataset(X, predict(spec, params, X))  # every row correct at x
-    robust, retired = _robust_equals_the_full_fold(monkeypatch, spec, params, data, [
+    robust, retired = _robust_equals_the_full_fold(spec, params, data, [
         AttackConfig(epsilon=eps, steps=3, seed=4) for eps in (0.002, 0.005, 0.01)])
     assert 0 < min(robust) and max(robust) < 1 and len(set(robust)) == 3
     assert retired[0] > 0
