@@ -33,8 +33,8 @@ from .objectives import (cross_entropy_rows, lambda_star, lse_smoothed_margin,
                          margin_rows, max_margin_over_classes, nll_of_probs)
 from .reports import atomic_write, emit_report, emit_table
 from .tensor import Tensor
-from .training import (ATTACK_KINDS, TrainConfig, _on_graph, evaluate_robust,
-                       run_training, sbeta_weighted_loss)
+from .training import (ALGORITHMS, ATTACK_KINDS, TrainConfig, _on_graph,
+                       evaluate_robust, run_training, sbeta_weighted_loss)
 
 
 class UsageError(ValueError):
@@ -139,6 +139,8 @@ EVAL_DEFAULTS = {
 
 def cmd_eval(args) -> int:
     cfg = _merge(EVAL_DEFAULTS, _load_config(args.config) if args.config else {})
+    if all(path is None for path in cfg["checkpoints"].values()):
+        raise UsageError("eval needs a best or last path in the config's checkpoints")
     _echo("eval", cfg)
     unknown = [kind for kind in cfg["attacks"] if kind not in ATTACK_KINDS]
     if unknown:  # checked before any kind runs
@@ -377,7 +379,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="run a training loop")
     p.add_argument("--config")
-    p.add_argument("--algorithm", choices=("erm", "pgd_at", "beta_at", "sbeta_at"))
+    p.add_argument("--algorithm", choices=ALGORITHMS)
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-csv")

@@ -69,6 +69,8 @@ class DatasetSpec:
         check_numbers(self)
         if self.kind not in KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
+        if not (np.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
         # one sample per class, and no more classes than the generator draws
         most = min(self.n, {"xor_grid": 2, "two_moons_3class": 3}.get(self.kind, self.n))
         if not 1 <= self.class_count <= most:

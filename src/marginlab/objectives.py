@@ -76,8 +76,8 @@ def max_margin_over_classes(logits, y: int):
 
 
 def _check_mu(mu):
-    if not mu > 0:  # also rejects NaN
-        raise ValueError(f"temperature mu must be > 0, got {mu}")
+    if not (np.isfinite(mu) and mu > 0):
+        raise ValueError(f"temperature mu must be finite and > 0, got {mu}")
 
 
 def lse_smoothed_margin(logits, y: int, mu: float) -> float:

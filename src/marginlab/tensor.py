@@ -1,7 +1,9 @@
 """Minimal reverse-mode autodiff on dense float64 numpy arrays.
 
-The graph is recorded implicitly: every operation returns a new Tensor that
-remembers its parents and a closure accumulating gradients into them.  A
+The graph is recorded implicitly: every operation states its value and one
+local-gradient rule per operand, and one node rule (_node) turns them into a
+new Tensor that remembers its parents and a closure adding the local
+gradients into them; a gradient goes only to operands that require one.  A
 single backward() traversal in reverse topological order produces gradients
 for every leaf with requires_grad=True.  Tensors are treated as immutable
 once created.  The graph is the reference for the plain-numpy kernel in
@@ -88,22 +90,26 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _node(value, parents, grads_of):
+    """A graph node holding value, computed from parents; grads_of[i] maps
+    the output gradient g to the local gradient of parents[i].  It requires a
+    gradient iff some parent does, and its backward adds each local gradient,
+    summed down to the parent's shape, only into parents that require one."""
+    def backward_fn(g):
+        for parent, grad_of in zip(parents, grads_of):
+            if parent.requires_grad:
+                gp = _unbroadcast(grad_of(g), parent.shape)
+                parent.grad = gp if parent.grad is None else parent.grad + gp
+
+    return Tensor(value, requires_grad=any(p.requires_grad for p in parents),
+                  parents=parents, backward_fn=backward_fn)
+
+
 def _binary(a, b, fwd, bwd_a, bwd_b):
     a, b = as_tensor(a), as_tensor(b)
-    out_data = fwd(a.data, b.data)
-    requires = a.requires_grad or b.requires_grad
-    out = Tensor(out_data, requires_grad=requires, parents=(a, b))
-
-    def backward_fn(g):  # requires_grad marks every node above a leaf that has it
-        if a.requires_grad:
-            ga = _unbroadcast(bwd_a(g, a.data, b.data), a.data.shape)
-            a.grad = ga if a.grad is None else a.grad + ga
-        if b.requires_grad:
-            gb = _unbroadcast(bwd_b(g, a.data, b.data), b.data.shape)
-            b.grad = gb if b.grad is None else b.grad + gb
-
-    out._backward_fn = backward_fn
-    return out
+    x, y = a.data, b.data
+    return _node(fwd(x, y), (a, b),
+                 (lambda g: bwd_a(g, x, y), lambda g: bwd_b(g, x, y)))
 
 
 def add(a, b):
@@ -145,55 +151,24 @@ def affine(x, weight, bias):
 def relu(x):
     x = as_tensor(x)
     mask = x.data > 0.0  # subgradient 0 at the kink
-    out = Tensor(np.where(mask, x.data, 0.0), requires_grad=x.requires_grad,
-                 parents=(x,))
-
-    def backward_fn(g):
-        gx = g * mask
-        x.grad = gx if x.grad is None else x.grad + gx
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(np.where(mask, x.data, 0.0), (x,), (lambda g: g * mask,))
 
 
 def texp(x):
     x = as_tensor(x)
     out_data = np.exp(x.data)
-    out = Tensor(out_data, requires_grad=x.requires_grad, parents=(x,))
-
-    def backward_fn(g):
-        gx = g * out_data
-        x.grad = gx if x.grad is None else x.grad + gx
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(out_data, (x,), (lambda g: g * out_data,))
 
 
 def tlog(x):
     x = as_tensor(x)
-    out = Tensor(np.log(x.data), requires_grad=x.requires_grad, parents=(x,))
-
-    def backward_fn(g):
-        gx = g / x.data
-        x.grad = gx if x.grad is None else x.grad + gx
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(np.log(x.data), (x,), (lambda g: g / x.data,))
 
 
 def tsum(x, axis=None):
     x = as_tensor(x)
-    out = Tensor(x.data.sum(axis=axis), requires_grad=x.requires_grad, parents=(x,))
-
-    def backward_fn(g):
-        if axis is None:
-            gx = np.broadcast_to(g, x.data.shape).copy()
-        else:
-            gx = np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy()
-        x.grad = gx if x.grad is None else x.grad + gx
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(x.data.sum(axis=axis), (x,), (lambda g: np.broadcast_to(
+        g if axis is None else np.expand_dims(g, axis), x.shape).copy(),))
 
 
 def take_per_row(x, indices):
@@ -201,27 +176,18 @@ def take_per_row(x, indices):
     x = as_tensor(x)
     idx = np.asarray(indices, dtype=np.intp)
     rows = np.arange(x.data.shape[0])
-    out = Tensor(x.data[rows, idx], requires_grad=x.requires_grad, parents=(x,))
 
-    def backward_fn(g):
+    def grad_of(g):
         gx = np.zeros_like(x.data)
         np.add.at(gx, (rows, idx), g)
-        x.grad = gx if x.grad is None else x.grad + gx
+        return gx
 
-    out._backward_fn = backward_fn
-    return out
+    return _node(x.data[rows, idx], (x,), (grad_of,))
 
 
 def reshape(x, shape):
     x = as_tensor(x)
-    out = Tensor(x.data.reshape(shape), requires_grad=x.requires_grad, parents=(x,))
-
-    def backward_fn(g):
-        gx = g.reshape(x.data.shape)
-        x.grad = gx if x.grad is None else x.grad + gx
-
-    out._backward_fn = backward_fn
-    return out
+    return _node(x.data.reshape(shape), (x,), (lambda g: g.reshape(x.shape),))
 
 
 def logsumexp(x, axis):

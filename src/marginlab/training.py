@@ -16,7 +16,7 @@ from .data import (MONITOR, SHUFFLE, TRAIN, Dataset, check_numbers, stream,
                    train_val_split)
 from .models import (Checkpoint, ModelSpec, backward, forward, forward_logits,
                      init_params, predict, with_grad)
-from .objectives import cross_entropy, cross_entropy_rows
+from .objectives import _check_mu, cross_entropy, cross_entropy_rows
 from .optim import KINDS, OptimState
 from .optim import step as opt_step
 from .tensor import Tensor, div, mul, reshape, sub, take_per_row, texp, tsum
@@ -56,8 +56,8 @@ class TrainConfig:
         if decay != sorted(set(decay)) or any(e < 0 for e in decay):
             raise ValueError(f"decay epochs must be strictly increasing and >= 0, "
                              f"got {decay}")
-        if self.algorithm == "sbeta_at" and not self.mu > 0:  # also rejects NaN
-            raise ValueError(f"sbeta_at needs mu > 0, got {self.mu}")
+        if self.algorithm == "sbeta_at":
+            _check_mu(self.mu)
         if self.attack is None and self.algorithm != "erm":
             raise ValueError(f"{self.algorithm} needs an attack config")
         if not 0 < self.val_fraction < 1:  # also rejects NaN

@@ -218,6 +218,12 @@ BLOCK_3 = {"kind": "gaussian_blobs", "n": 30, "class_count": 3, "noise": 0.08,
     pytest.param("eval", {"attacks": ["grid_oracle"], "attack": {"epsilon": 0.0},
                           "grid_resolution": 0},
                  "resolution must be >= 1, got 0", id="eval-grid-resolution-at-eps0"),
+    pytest.param("train", {"algorithm": "sbeta_at", "mu": float("inf")},
+                 "mu must be finite and > 0, got inf", id="train-sbeta-mu-inf"),
+    pytest.param("train", {"dataset": {"noise": float("nan")}},
+                 "noise must be finite and >= 0, got nan", id="train-dataset-noise-nan"),
+    pytest.param("train", {"dataset": {"noise": float("inf")}},
+                 "noise must be finite and >= 0, got inf", id="train-dataset-noise-inf"),
 ])
 def test_cli_rejects_invalid_config_values(tmp_path, capsys, command, cfg,
                                            rejected):
@@ -240,6 +246,14 @@ def test_cli_rejects_a_config_file_that_is_not_an_object(tmp_path, capsys):
     path.write_text("[1, 2]")
     assert main(["train", "--config", str(path)]) == 2
     assert "must be a dict, got [1, 2]" in capsys.readouterr().err
+
+
+def test_cli_eval_without_a_checkpoint_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert main(["eval", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "checkpoints" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_eval_checks_every_attack_kind_before_running_any(tmp_path, capsys):

@@ -81,7 +81,7 @@ def test_lambda_star_cases():
     assert np.allclose(w, [0.0, 1.0])
 
 
-@pytest.mark.parametrize("mu", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf")])
 def test_smoothed_margin_rejects_a_mu_that_is_not_positive(mu):
     logits = np.array([0.0, 0.3, -0.2])
     for closed_form in (lse_smoothed_margin, lambda_star):

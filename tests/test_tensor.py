@@ -3,7 +3,8 @@ import pytest
 
 from marginlab.cli import gradient_error
 from marginlab.objectives import cross_entropy
-from marginlab.tensor import ShapeError, Tensor, affine, matmul, mul, relu, tsum
+from marginlab.tensor import (ShapeError, Tensor, affine, matmul, mul, relu, reshape,
+                              texp, tsum)
 
 
 def test_affine_fixed_weight():
@@ -84,12 +85,15 @@ def test_offpath_leaf_gets_no_gradient_contribution():
 
 def test_node_above_no_gradient_leaf_gets_no_gradient():
     # sbeta_at's slot points Tensor(X) + eta: with eta constant, backward must
-    # not compute a gradient at the points
+    # not compute a gradient at the points; unary ops follow the same rule
     x = Tensor([1.0], requires_grad=True)
     points = Tensor([4.0]) + Tensor([5.0])
     tsum(mul(x, points)).backward()
     assert np.allclose(x.grad, 9.0)
     assert points.grad is None
+    const = Tensor([[1.0, 2.0]])
+    tsum(texp(reshape(relu(const), (2,)))).backward()
+    assert const.grad is None
 
 
 def graph_gradient_error(fn, point):

@@ -577,7 +577,7 @@ def test_train_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("lr", -0.5), ("lr", float("nan")), ("lr", float("inf")),
     ("decay_factor", -1.0), ("decay_factor", float("nan")),
-    ("mu", float("nan")),
+    ("mu", float("nan")), ("mu", float("inf")),
 ])
 def test_train_config_rejects_numbers_that_train_silently_wrong(field, value):
     # a negative lr trains uphill, a negative decay factor flips every later
