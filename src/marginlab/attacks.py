@@ -29,9 +29,10 @@ ascent is done.  Under a mask live (robust accuracy) a row wrong at x is
 never attacked, and a row leaves on the first ascent step that gives one of
 its pairs a margin > 0, since its verdict is then known; once the first
 group's first iterate is scored, the rows still unbroken are bounded, and a
-row whose bounds are all < 0 is certified and leaves.  Given a slots array
-(sbeta_at, whose defender weighs every slot), nothing is dropped and the
-loop hands back every slot's etas.
+row whose bounds are all < 0 is certified and leaves, both before that step's
+backward pass; evaluate_robust checks only the open rows at x + eta.  Given
+a slots array (sbeta_at, whose defender weighs every slot), nothing is
+dropped and the loop hands back every slot's etas.
 No attack builds an autodiff graph: the loop, FGSM, the grid oracles and
 single-sample results run the models.forward/backward kernel on per-row
 (values, gradient) objectives, with the graph's bits.
@@ -253,15 +254,14 @@ def _ascend(spec, params, X, cfg, start, objective, optimizer, best_vals,
     evaluated (clean point, random start, every iterate) and its objective
     value.  Each iterate's value comes from the forward pass built for its
     gradient.  Given retire(rows) -> the objective on those rows of X, a row
-    leaves every layer after the first step that leaves one of its best
-    values > 0, with its best candidates so far.  Given also certify(rows,
-    g) -> bool[len(rows)], it is called once, after the first iterate is
-    scored (so never with cfg.steps < 2), on the rows none of whose values
-    is > 0, with g their best value over the layers; the rows it marks
-    leave the same way.
+    leaves every layer on the first step whose iterate makes one of its best
+    values > 0, with its best candidates so far, before that step's backward
+    pass.  Given also certify(rows, g) -> bool[len(rows)], it is called once,
+    after the first iterate is scored (so never with cfg.steps < 2), on the
+    rows none of whose values is > 0, with g their best value over the
+    layers; the rows it marks leave the same way.
     """
     best_pts, gone = X.copy(), []  # gone: (rows, etas, values) of rows that left
-
     d = X.shape[-1]
 
     def keep(pts, vals):
@@ -285,33 +285,34 @@ def _ascend(spec, params, X, cfg, start, objective, optimizer, best_vals,
             logits, cache = forward(spec, params, pts)
             vals, dlogits = objective(logits)
             keep(pts, vals)
+            if retire is not None:
+                # only rows that broke on this iterate: the others left
+                left = (best_vals > 0).any(axis=layers)
+                if i == 1 and certify is not None:
+                    open_ = np.flatnonzero(~left)
+                    left[open_] = certify(rows[open_], best_vals.max(axis=layers)[open_])
+                if left.any():  # they leave before this step's backward pass
+                    out, stay = np.flatnonzero(left), np.flatnonzero(~left)
+                    gone.append((rows[out], best_pts.take(out, -2) - _take_rows(X, out),
+                                 best_vals.take(out, -1)))
+                    # one copy at a time, each source freed as it is replaced; the
+                    # input gradient reads only the ReLU masks of the cache
+                    cache = ((), [mask.take(stay, -2) for mask in cache[1]])
+                    dlogits = dlogits.take(stay, -2)
+                    X = _take_rows(X, stay)
+                    pts = pts.take(stay, -2)
+                    best_pts = best_pts.take(stay, -2)
+                    bounds = tuple(b.take(stay, -2) for b in bounds)
+                    for key in opt.slots:
+                        opt.slots[key] = opt.slots[key].take(stay, -2)
+                    best_vals, rows = best_vals.take(stay, -1), rows[stay]
+                    objective = retire(rows)
+                    if not len(rows):
+                        break
             # step returns a fresh array, so the clip may write into it
             pts = step(opt, pts, backward(params, cache, dlogits), direction="ascend")
             pts = (np.clip(pts, *bounds, out=pts) if cfg.norm == "l_inf"
                    else project(X, pts, cfg))
-            if retire is None:
-                continue
-            # only rows that broke on this step: the others left
-            left = (best_vals > 0).any(axis=layers)
-            if i == 1 and certify is not None:
-                open_ = np.flatnonzero(~left)
-                left[open_] = certify(rows[open_], best_vals.max(axis=layers)[open_])
-            if left.any():
-                out, stay = np.flatnonzero(left), np.flatnonzero(~left)
-                gone.append((rows[out], best_pts.take(out, -2) - _take_rows(X, out),
-                             best_vals.take(out, -1)))
-                # one copy at a time, each source freed as it is replaced
-                cache = None
-                X = _take_rows(X, stay)
-                pts = pts.take(stay, -2)
-                best_pts = best_pts.take(stay, -2)
-                bounds = tuple(b.take(stay, -2) for b in bounds)
-                for key in opt.slots:
-                    opt.slots[key] = opt.slots[key].take(stay, -2)
-                best_vals, rows = best_vals.take(stay, -1), rows[stay]
-                objective = retire(rows)
-                if not len(rows):
-                    break
         else:
             keep(pts, objective(forward(spec, params, pts)[0])[0])
     if not gone:
@@ -354,10 +355,10 @@ def targeted_ascent_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     own matmuls, so a stack has the bits of one call per layer.  The start
     draws stream(*_key(seed, cfg)).random(X.shape), or draw() gives those
     uniform draws; clean, the margins at X, saves their forward pass.  With
-    retire, a row leaves every layer after the first step that gives one of
-    its pairs a best margin > 0, and keeps its best candidates up to that
-    step; certify(rows, g) -> bool[len(rows)] also retires the rows it marks
-    after the first iterate (_ascend).
+    retire, a row leaves every layer on the first step that gives one of its
+    pairs a best margin > 0, before that step's backward pass, and keeps its
+    best candidates up to that step; certify(rows, g) -> bool[len(rows)]
+    also retires the rows it marks after the first iterate (_ascend).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
@@ -484,14 +485,14 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     the fold; the later ranks run over the rows that still have some, and
     the smaller row count can move a margin in its last bits.  An array
     slots[K-1,n,d] receives each slot's etas, and then nothing is dropped.
-    A mask live attacks only its rows and retires each row after the first
-    ascent step that gives one of its pairs a margin > 0: it returns that
-    step's best candidate, and rows never attacked keep eta 0, j* 0 and
-    margin -inf.  Under live the bounds run inside the first group instead,
-    on the rows still unbroken once its first iterate is scored (not with
-    cfg.steps < 2): a row whose bounds are all < 0 is certified and leaves
-    the ascent there with its best candidate so far, its margin <= 0, and a
-    later slot is dropped against the row's best margin at that iterate.
+    A mask live attacks only its rows and retires each row on the first
+    ascent step that gives one of its pairs a margin > 0, before its backward
+    pass: it returns that step's best candidate, and rows never attacked keep
+    eta 0, j* 0 and margin -inf.  Under live the bounds run inside the first
+    group instead, on the rows still unbroken once its first iterate is
+    scored (not with cfg.steps < 2): a row whose bounds are all < 0 is
+    certified and leaves the same way with its best candidate so far, its
+    margin <= 0, and a later slot is dropped against its best margin there.
     The open slots run first and a row leaves once none are left, so the
     best class, its eta and the verdict are the full fold's."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -664,6 +665,12 @@ def check_resolution(resolution) -> None:
         raise ValueError(f"grid resolution must be >= 1, got {resolution}")
 
 
+def check_grid_dim(d) -> None:
+    """A grid oracle enumerates (2*resolution+1)^d points: d <= 3 only."""
+    if d > 3:
+        raise ValueError(f"grid oracle is limited to d <= 3, got d={d}")
+
+
 def grid_points(x: np.ndarray, epsilon: float, resolution: int,
                 norm: str = "l_inf", box: bool = True) -> np.ndarray:
     """All feasible points of a (2*resolution+1)^d axis grid around x."""
@@ -671,8 +678,7 @@ def grid_points(x: np.ndarray, epsilon: float, resolution: int,
     check_resolution(resolution)
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
-    if d > 3:
-        raise ValueError("grid oracle is limited to d <= 3")
+    check_grid_dim(d)
     if epsilon == 0:
         pts = x[None, :].copy()
     else:

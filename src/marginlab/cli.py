@@ -21,7 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import objectives
-from .attacks import (AttackConfig, beta_attack, check_resolution,
+from .attacks import (AttackConfig, beta_attack, check_grid_dim, check_resolution,
                       closed_form_linear_attack, grid_max_cross_entropy,
                       grid_oracle_attack)
 from .data import Dataset, DatasetSpec, generate_dataset, load_idx
@@ -147,6 +147,8 @@ def cmd_eval(args) -> int:
         raise UsageError(f"unknown attack kinds {unknown}")
     check_resolution(cfg["grid_resolution"])  # whether or not a grid runs
     data = _build_dataset(cfg["dataset"])
+    if "grid_oracle" in cfg["attacks"]:  # before any kind runs
+        check_grid_dim(data.dim)
     acfg = AttackConfig(**cfg["attack"])
     rows = []
     for label in ("best", "last"):

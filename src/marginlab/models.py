@@ -107,7 +107,7 @@ def backward(params: dict, cache, dlogits, wrt="input"):
     wrt="params" (x[n,d] only), with the graph's ops in the graph's order."""
     acts, masks = cache
     g, grads = dlogits, {}
-    for i in reversed(range(len(acts))):
+    for i in reversed(range(len(masks) + 1)):
         if wrt == "params":
             grads[f"w{i}"], grads[f"b{i}"] = acts[i].T @ g, g.sum(axis=0)
             if i == 0:

@@ -107,8 +107,9 @@ def evaluate_robust(spec: ModelSpec, params: dict, data: Dataset,
     beta or grid_oracle (robust: not broken anywhere on the grid); the random
     starts draw from seed, or from cfg.seed when None.  beta attacks only
     the rows correct at x and leaves a row once its verdict is known, by a
-    break or a certificate (beta_attack_batch with live); the score equals
-    the full fold's."""
+    break or a certificate (beta_attack_batch with live), before that step's
+    backward pass; the score equals the full fold's.  Only the rows still
+    open (correct at x and, for beta, not broken) are checked at x + eta."""
     if attack_kind not in ATTACK_KINDS:
         raise ValueError(f"unknown attack kind {attack_kind!r}")
     _check_labels(spec, "dataset", data)
@@ -135,7 +136,8 @@ def evaluate_robust(spec: ModelSpec, params: dict, data: Dataset,
             etas, _, margins = beta_attack_batch(spec, params, data.X, data.y, cfg,
                                                  seed=seed, live=correct, logits=logits)
             live = correct & ~(margins > 0)
-        survived = live & (predict(spec, params, data.X + etas) == data.y)
+        at, survived = slice(None) if live.all() else np.flatnonzero(live), live.copy()
+        survived[at] = predict(spec, params, data.X[at] + etas[at]) == data.y[at]
     return {"clean": float(np.mean(correct)), "robust": float(np.mean(survived))}
 
 

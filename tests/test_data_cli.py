@@ -270,6 +270,25 @@ def test_cli_eval_checks_every_attack_kind_before_running_any(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_eval_checks_the_grid_dimension_before_running_any_attack(tmp_path, capsys):
+    # 2x2 images are d = 4 points, past the grid oracle's d <= 3: eval fails
+    # before the pgd and beta rows run, and writes no table
+    ip, lp = write_idx(tmp_path, n=30)
+    spec = ModelSpec("linear", 4, 3)
+    ckpt = str(tmp_path / "ckpt.json")
+    save_checkpoint(ckpt, Checkpoint(spec, init_params(spec, 0), {}))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "checkpoints": {"best": ckpt}, "attacks": ["pgd", "beta", "grid_oracle"],
+        "dataset": {"kind": "idx_files", "images": ip, "labels": lp},
+        "attack": {"steps": 2}}))
+    out = tmp_path / "tab.csv"
+    assert main(["eval", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "d <= 3, got d=4" in captured.err and "robust" not in captured.out
+    assert not out.exists()
+
+
 def test_cli_eval_rejects_a_negative_seed_before_running_any_attack(tmp_path, capsys):
     spec = ModelSpec("linear", 2, 3)
     ckpt = str(tmp_path / "ckpt.json")

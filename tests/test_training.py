@@ -432,6 +432,86 @@ def test_beta_early_exit_attacks_only_rows_still_robust(monkeypatch):
         assert not grid_oracle_attack(spec, params, data.X[i], data.y[i], eps, 20).success
 
 
+def test_a_leaving_row_takes_no_backward_pass(monkeypatch):
+    # inside each retiring ascent the kernel runs forward, backward, ...,
+    # forward: a row that breaks or is certified leaves before that step's
+    # backward pass, so each backward holds the rows of the next forward,
+    # fewer than its own forward's on a step where rows leave
+    spec, params, data = erm_model(5, (16,))
+    calls, certified = [], []
+    targeted, margin_bounds = attacks.targeted_ascent_batch, attacks._margin_bounds
+
+    def recording(*args, **kwargs):
+        assert kwargs["retire"]
+        calls.append([])
+        return targeted(*args, **kwargs)
+
+    def recording_bounds(*args):
+        out = margin_bounds(*args)
+        certified.append(int((out < 0).all(axis=1).sum()))
+        return out
+
+    def record(name):  # the rows of forward's x and of backward's dlogits
+        fn = getattr(attacks, name)
+
+        def recording_kernel(*args):
+            calls[-1].append((name, args[2].shape[:-1]))
+            return fn(*args)
+        monkeypatch.setattr(attacks, name, recording_kernel)
+    record("forward")
+    record("backward")
+    monkeypatch.setattr(attacks, "targeted_ascent_batch", recording)
+    monkeypatch.setattr(attacks, "_margin_bounds", recording_bounds)
+    out = evaluate_robust(spec, params, data, "beta",
+                          AttackConfig(epsilon=0.1, step_size=0.01, seed=3))
+    assert sum(certified) > 0 and out["robust"] < out["clean"]  # rows certify, rows break
+    leaving = 0
+    for events in calls:
+        kinds, rows = zip(*events)
+        assert kinds == ("forward", "backward") * (len(kinds) // 2) + ("forward",)
+        for own, back, after in zip(rows[::2], rows[1::2], rows[2::2]):
+            assert back == after and back[-1] <= own[-1]
+            leaving += back[-1] < own[-1]
+    assert leaving >= 3  # at the start, the certificate and a later iterate
+
+
+@pytest.mark.parametrize("kind", ["fgsm", "pgd", "beta"])
+def test_evaluate_robust_predicts_only_the_open_rows(monkeypatch, kind):
+    # predict sees x + eta of exactly the rows correct at x and, for beta,
+    # not broken: every other row's verdict is known.  The score is the full
+    # predict's, on a set whose every row is correct at x, one with a single
+    # open row (well inside its class) and one with none
+    spec, params, data = erm_model(3, (16,), n=300)
+    cfg = AttackConfig(epsilon=0.05, steps=5, seed=3)
+    fit = predict(spec, params, data.X)
+    margins = beta_attack_batch(spec, params, data.X, fit, cfg)[2]
+    one = np.arange(len(data)) == np.argmin(margins)
+    seen = []
+
+    def recording(spec, params, x):
+        seen.append(x.copy())
+        return predict(spec, params, x)
+    monkeypatch.setattr(training, "predict", recording)
+    for y, n_open in ((fit, None), (np.where(one, fit, (fit + 1) % 3), 1), ((fit + 1) % 3, 0)):
+        ok = fit == y
+        if kind == "fgsm":
+            etas, open_ = attacks.fgsm_batch(spec, params, data.X, y, cfg), ok
+        elif kind == "pgd":
+            etas, open_ = attacks.pgd_surrogate_batch(spec, params, data.X, y, cfg), ok
+        else:
+            etas, _, margins = beta_attack_batch(spec, params, data.X, y, cfg, live=ok)
+            open_ = ok & ~(margins > 0)
+        seen.clear()
+        out = evaluate_robust(spec, params, Dataset(data.X, y), kind, cfg)
+        assert len(seen) == 1 and np.array_equal(seen[0], (data.X + etas)[open_])
+        assert out["clean"] == np.mean(ok)
+        assert out["robust"] == np.mean(open_ & (predict(spec, params, data.X + etas) == y))
+        if n_open is None:
+            assert 0 < out["robust"] and (kind == "beta") == (open_.sum() < len(data))
+        else:
+            assert open_.sum() == n_open
+
+
 def test_monitor_forwards_each_split_clean_once(monkeypatch):
     # one attacked epoch of pgd_at and of beta_at: each split's clean X runs
     # through the model once, its logits handed to the attack, and predict
