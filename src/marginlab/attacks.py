@@ -30,7 +30,8 @@ never attacked, and a row leaves on the first ascent step that gives one of
 its pairs a margin > 0, since its verdict is then known; once the first
 group's first iterate is scored, the rows still unbroken are bounded, and a
 row whose bounds are all < 0 is certified and leaves, both before that step's
-backward pass; evaluate_robust checks only the open rows at x + eta.  Given
+backward pass; evaluate_robust checks only the open rows at x + eta, and its
+PGD attacks only the rows the bound leaves unproved (pgd_surrogate_batch, live).  Given
 a slots array (sbeta_at, whose defender weighs every slot), nothing is
 dropped and the loop hands back every slot's etas.
 No attack builds an autodiff graph: the loop, FGSM, the grid oracles and
@@ -595,23 +596,37 @@ def fgsm(spec: ModelSpec, params: dict, x, y: int,
 
 
 def pgd_surrogate_batch(spec: ModelSpec, params: dict, X: np.ndarray,
-                        y: np.ndarray, cfg: AttackConfig, seed=None, logits=None):
+                        y: np.ndarray, cfg: AttackConfig, seed=None, logits=None,
+                        live=None):
     """Projected ascent on cross-entropy with a random start; returns etas.
 
     Rows misclassified at the clean point keep eta=0; the others return the
     highest-loss candidate evaluated.  logits[n,K], the clean logits when
-    the caller has them, saves their forward pass.
+    the caller has them, saves their forward pass.  Under a mask live only its
+    rows correct at x are attacked, each from its row of the whole-batch draw;
+    when those are all rows correct at x, the call is the plain one (no copies).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
     clean_logits = forward(spec, params, X)[0] if logits is None else logits
-    etas, _ = _ascend(
-        spec, params, X, cfg,
-        lambda bounds: _uniform_start(
-            X, bounds, cfg, stream(*_key(seed, cfg)).random(X.shape)),
-        lambda logits: cross_entropy_rows(logits, y), "sign_sgd",
-        cross_entropy_rows(clean_logits, y)[0])
-    etas[np.argmax(clean_logits, axis=1) != y] = 0.0
+    wrong = np.argmax(clean_logits, axis=1) != y
+    rows = None if live is None or (live | wrong).all() else np.flatnonzero(live & ~wrong)
+    part, yp, lp = (X, y, clean_logits) if rows is None else (
+        X[rows], y[rows], clean_logits[rows])
+
+    def start(bounds):
+        gen = stream(*_key(seed, cfg))
+        if rows is None:
+            return _uniform_start(X, bounds, cfg, gen.random(X.shape))
+        _gather(gen, rows, u := np.empty(part.shape))
+        return _uniform_start(part, bounds, cfg, u)
+    found, _ = _ascend(spec, params, part, cfg, start,
+                       lambda logits: cross_entropy_rows(logits, yp), "sign_sgd",
+                       cross_entropy_rows(lp, yp)[0])
+    etas = found if rows is None else np.zeros(X.shape)
+    if rows is not None:
+        etas[rows] = found
+    etas[wrong] = 0.0
     return etas
 
 

@@ -33,7 +33,7 @@ from .objectives import (cross_entropy_rows, lambda_star, lse_smoothed_margin,
                          margin_rows, max_margin_over_classes, nll_of_probs)
 from .reports import atomic_write, emit_report, emit_table
 from .tensor import Tensor
-from .training import (ALGORITHMS, ATTACK_KINDS, TrainConfig, _on_graph,
+from .training import (ALGORITHMS, ATTACK_KINDS, TrainConfig, _check_labels, _on_graph,
                        evaluate_robust, run_training, sbeta_weighted_loss)
 
 
@@ -150,12 +150,14 @@ def cmd_eval(args) -> int:
     if "grid_oracle" in cfg["attacks"]:  # before any kind runs
         check_grid_dim(data.dim)
     acfg = AttackConfig(**cfg["attack"])
+    ckpts = {label: load_checkpoint(path) for label, path in cfg["checkpoints"].items()
+             if path is not None}
+    for ckpt in ckpts.values():  # every checkpoint fits the data before any kind runs
+        if ckpt.spec.input_dim != data.dim:
+            raise ValueError(f"input width {data.dim} != spec d={ckpt.spec.input_dim}")
+        _check_labels(ckpt.spec, "dataset", data)
     rows = []
-    for label in ("best", "last"):
-        path = cfg["checkpoints"][label]
-        if path is None:
-            continue
-        ckpt = load_checkpoint(path)
+    for label, ckpt in ckpts.items():
         for kind in cfg["attacks"]:
             out = evaluate_robust(ckpt.spec, ckpt.params, data, kind, acfg,
                                   resolution=cfg["grid_resolution"], seed=acfg.seed)

@@ -224,6 +224,23 @@ def test_pgd_misclassified_clean_point_succeeds_immediately():
     assert res.success and np.allclose(res.eta_star, 0.0)
 
 
+@pytest.mark.parametrize("norm", ["l_inf", "l2"])
+def test_pgd_under_live_attacks_its_correct_rows_with_the_full_batch_etas(norm):
+    # a live row correct at x gets the whole-batch call's eta bit for bit, so
+    # its start is its row of the whole-batch draw; every other row keeps 0,
+    # and a mask that leaves out only rows wrong at x is the plain call
+    spec = ModelSpec("mlp", 2, 3, (8,))
+    params = init_params(spec, 0)
+    X, y = np.random.default_rng(1).random((40, 2)), np.arange(40) % 3
+    cfg = AttackConfig(epsilon=0.1, norm=norm, steps=5, seed=4)
+    ok = predict(spec, params, X) == y
+    full = pgd_surrogate_batch(spec, params, X, y, cfg)
+    assert 0 < ok.sum() < len(X) and np.abs(full[ok]).max() > 0
+    for live in (np.arange(40) % 3 != 1, np.arange(40) >= 37, np.zeros(40, bool), ok):
+        etas = pgd_surrogate_batch(spec, params, X, y, cfg, live=live)
+        assert np.array_equal(etas, np.where((live & ok)[:, None], full, 0.0))
+
+
 def test_pgd_fails_on_counterexample_while_margin_attack_succeeds():
     spec, params = counterexample()
     pgd = pgd_surrogate(spec, params, CE_X, 0,

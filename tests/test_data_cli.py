@@ -289,6 +289,28 @@ def test_cli_eval_checks_the_grid_dimension_before_running_any_attack(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("last, message", [
+    (ModelSpec("linear", 4, 3), "input width 2 != spec d=4"),
+    (ModelSpec("linear", 2, 2), "labels [2] lie outside the model's classes 0..1"),
+], ids=["width", "labels"])
+def test_cli_eval_fits_every_checkpoint_to_the_data_before_any_attack(
+        tmp_path, capsys, last, message):
+    # best fits the 2-d, 3-class data and last does not: eval fails before
+    # best's pgd row runs, and writes no table
+    paths = {}
+    for label, spec in (("best", ModelSpec("linear", 2, 3)), ("last", last)):
+        paths[label] = str(tmp_path / f"{label}.json")
+        save_checkpoint(paths[label], Checkpoint(spec, init_params(spec, 0), {}))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"checkpoints": paths, "attacks": ["pgd"],
+                                "dataset": {"n": 30}}))
+    out = tmp_path / "tab.csv"
+    assert main(["eval", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "robust" not in captured.out
+    assert not out.exists()
+
+
 def test_cli_eval_rejects_a_negative_seed_before_running_any_attack(tmp_path, capsys):
     spec = ModelSpec("linear", 2, 3)
     ckpt = str(tmp_path / "ckpt.json")

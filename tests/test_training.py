@@ -477,39 +477,122 @@ def test_a_leaving_row_takes_no_backward_pass(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["fgsm", "pgd", "beta"])
 def test_evaluate_robust_predicts_only_the_open_rows(monkeypatch, kind):
-    # predict sees x + eta of exactly the rows correct at x and, for beta,
-    # not broken: every other row's verdict is known.  The score is the full
-    # predict's, on a set whose every row is correct at x, one with a single
-    # open row (well inside its class) and one with none
+    # predict sees x + eta of exactly the open rows: those correct at x and,
+    # for pgd, not proved by the margin bounds, for beta, not broken; every
+    # other row's verdict is known.  pgd attacks only its open rows, with the
+    # full-batch call's etas.  The score is the full predict's, on a set whose
+    # every row is correct at x (pgd proves some of them), one with a single
+    # correct row (well inside its class: pgd proves it) and one with none
     spec, params, data = erm_model(3, (16,), n=300)
     cfg = AttackConfig(epsilon=0.05, steps=5, seed=3)
     fit = predict(spec, params, data.X)
     margins = beta_attack_batch(spec, params, data.X, fit, cfg)[2]
     one = np.arange(len(data)) == np.argmin(margins)
-    seen = []
+    pgd, seen, lives = training.pgd_surrogate_batch, [], []
 
     def recording(spec, params, x):
         seen.append(x.copy())
         return predict(spec, params, x)
+
+    def recording_pgd(*args, live, **kwargs):
+        lives.append(live)
+        return pgd(*args, live=live, **kwargs)
     monkeypatch.setattr(training, "predict", recording)
-    for y, n_open in ((fit, None), (np.where(one, fit, (fit + 1) % 3), 1), ((fit + 1) % 3, 0)):
+    monkeypatch.setattr(training, "pgd_surrogate_batch", recording_pgd)
+    for y, n_open in ((fit, None), (np.where(one, fit, (fit + 1) % 3), int(kind != "pgd")),
+                      ((fit + 1) % 3, 0)):
         ok = fit == y
         if kind == "fgsm":
             etas, open_ = attacks.fgsm_batch(spec, params, data.X, y, cfg), ok
         elif kind == "pgd":
-            etas, open_ = attacks.pgd_surrogate_batch(spec, params, data.X, y, cfg), ok
+            etas = attacks.pgd_surrogate_batch(spec, params, data.X, y, cfg)
         else:
             etas, _, margins = beta_attack_batch(spec, params, data.X, y, cfg, live=ok)
             open_ = ok & ~(margins > 0)
         seen.clear()
+        lives.clear()
         out = evaluate_robust(spec, params, Dataset(data.X, y), kind, cfg)
+        if kind == "pgd":
+            (open_,) = lives
+            proved = ok & ~open_
+            assert not (open_ & ~ok).any()
+            assert (attacks._margin_bounds(spec, params, data.X[proved], y[proved], cfg)
+                    < 0).all()
         assert len(seen) == 1 and np.array_equal(seen[0], (data.X + etas)[open_])
         assert out["clean"] == np.mean(ok)
-        assert out["robust"] == np.mean(open_ & (predict(spec, params, data.X + etas) == y))
+        assert out["robust"] == np.mean(ok & (predict(spec, params, data.X + etas) == y))
         if n_open is None:
-            assert 0 < out["robust"] and (kind == "beta") == (open_.sum() < len(data))
+            assert 0 < out["robust"] and (kind == "fgsm") == (open_.sum() == len(data))
         else:
             assert open_.sum() == n_open
+
+
+@pytest.mark.parametrize("hidden", [(), (16,), (8, 8)], ids=["linear", "mlp16", "mlp8-8"])
+def test_pgd_robust_accuracy_proves_only_robust_rows_and_keeps_its_score(monkeypatch,
+                                                                         hidden):
+    # every row evaluate_robust("pgd") proves and skips survives the grid
+    # oracle, and the score is one full-batch PGD's plus predict; the bound
+    # settles nothing behind two hidden layers
+    spec, params, data = erm_model(3, hidden, n=120)
+    pgd, lives = training.pgd_surrogate_batch, []
+
+    def recording_pgd(*args, live, **kwargs):
+        lives.append(live)
+        return pgd(*args, live=live, **kwargs)
+    monkeypatch.setattr(training, "pgd_surrogate_batch", recording_pgd)
+    correct = predict(spec, params, data.X) == data.y
+    n_proved = 0
+    for eps in (0.01, 0.05, 0.12):
+        cfg = AttackConfig(epsilon=eps, steps=10, seed=2)
+        lives.clear()
+        out = evaluate_robust(spec, params, data, "pgd", cfg)
+        (live,) = lives
+        proved = np.flatnonzero(correct & ~live)
+        n_proved += len(proved)
+        for i in proved:
+            assert not grid_oracle_attack(spec, params, data.X[i], data.y[i], eps,
+                                          20).success
+        etas = pgd(spec, params, data.X, data.y, cfg)
+        assert out["robust"] == np.mean(correct & (predict(spec, params, data.X + etas)
+                                                   == data.y))
+    assert (n_proved == 0) == (len(hidden) > 1)
+
+
+def _bound_chunks(monkeypatch, spec, params, data, cfg):
+    """The row counts of the _margin_bounds calls of evaluate_robust("pgd")."""
+    sizes = []
+
+    def recording(spec, params, X, y, cfg):
+        sizes.append(len(X))
+        return attacks._margin_bounds(spec, params, X, y, cfg)
+    monkeypatch.setattr(training, "_margin_bounds", recording)
+    evaluate_robust(spec, params, data, "pgd", cfg)
+    return sizes
+
+
+def test_pgd_robust_accuracy_bounds_doubling_chunks_while_half_prove(monkeypatch):
+    # at 10 steps: nothing proves behind two hidden layers, so one chunk of 16
+    # rows.  Where most rows prove, chunks of 16, 32, 64, ... rows until the
+    # correct rows run out, and a chunk that proves fewer than half is the
+    # last.  Below 5 steps no chunk can pay for itself; with none, no bound
+    cfg = AttackConfig(epsilon=0.01, steps=10, seed=2)
+    spec, params, data = erm_model(3, (8, 8), n=300)
+    assert _bound_chunks(monkeypatch, spec, params, data, cfg) == [16]
+    # class 0 wins iff x0 > 0; a row is proved iff x0 > eps.  Rows 16..47
+    # sit inside the ball's reach of the boundary
+    spec, params = linear_model(np.array([[1.0, -1.0], [0.0, 0.0]]), np.zeros(2))
+    x0 = np.where((np.arange(200) >= 16) & (np.arange(200) < 48), 0.005, 0.5)
+    near = Dataset(np.stack([x0, np.full(200, 0.5)], axis=1), np.zeros(200, np.intp))
+    assert _bound_chunks(monkeypatch, spec, params, near, cfg) == [16, 32]
+    spec, params, data = erm_model(3, (), n=300)
+    left, chunks = int(np.sum(predict(spec, params, data.X) == data.y)), []
+    while left > 0:
+        chunks.append(min(left, 16 << len(chunks)))
+        left -= chunks[-1]
+    assert len(chunks) >= 4
+    assert _bound_chunks(monkeypatch, spec, params, data, cfg) == chunks
+    assert _bound_chunks(monkeypatch, spec, params, data, replace(cfg, steps=4)) == [16]
+    assert _bound_chunks(monkeypatch, spec, params, data, replace(cfg, steps=0)) == []
 
 
 def test_monitor_forwards_each_split_clean_once(monkeypatch):
