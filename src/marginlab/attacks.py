@@ -22,18 +22,18 @@ each ReLU (Wong & Kolter 2018, CROWN) bounds every margin over the whole
 feasible set, at about one backward pass per slot (_margin_bounds); it is
 exact for linear models, covers one hidden layer, and settles nothing
 deeper.  A later slot whose bound is below the row's best margin so far can
-neither win nor tie its fold, so it is dropped, and the later ranks run over
-the rows that still have some; a smaller row count can move a margin in its
-last bits.  The full fold (beta_at) bounds its pairs once the first group's
-ascent is done.  Under a mask live (robust accuracy) a row wrong at x is
-never attacked, and a row leaves on the first ascent step that gives one of
-its pairs a margin > 0, since its verdict is then known; once the first
-group's first iterate is scored, the rows still unbroken are bounded, and a
-row whose bounds are all < 0 is certified and leaves, both before that step's
-backward pass; evaluate_robust checks only the open rows at x + eta, and its
-PGD attacks only the rows the bound leaves unproved (pgd_surrogate_batch, live).  Given
-a slots array (sbeta_at, whose defender weighs every slot), nothing is
-dropped and the loop hands back every slot's etas.
+neither win nor tie its fold, so it is dropped.  The full fold (beta_at)
+bounds its pairs after the first group and runs the rest as flat [pairs, d]
+batches; elsewhere later ranks run over the rows that still have some.
+Under a mask live (robust accuracy) a row wrong at x is never attacked, and
+a row leaves on the first ascent step that gives one of its pairs a
+margin > 0, since its verdict is then known; once the first group's first
+iterate is scored, the rows still unbroken are bounded, and a row whose
+bounds are all < 0 is certified and leaves, both before that step's
+backward pass; evaluate_robust checks only the open rows at x + eta, and
+its PGD attacks only the rows the bound leaves unproved (pgd_surrogate_batch,
+live).  Given a slots array (sbeta_at, whose defender weighs every slot),
+nothing is dropped and the loop hands back every slot's etas.
 No attack builds an autodiff graph: the loop, FGSM, the grid oracles and
 single-sample results run the models.forward/backward kernel on per-row
 (values, gradient) objectives, with the graph's bits.
@@ -339,7 +339,8 @@ def wrong_classes(y, k):
 # all K-1 slots of a 2000x784 batch ran 15% slower stacked than one by one.
 # A group's rows are the rows still live, so once rows retire the ranks
 # left run in larger groups; a batch of at most this many numbers also
-# keeps each slot's whole random draw for the call (_slot_draws).
+# keeps each slot's whole random draw for the call (_slot_draws).  The full
+# fold's pair batches hold max(n, this // width) pairs; more moved a last bit.
 _GROUP_ELEMS = 2 ** 15
 
 
@@ -366,6 +367,8 @@ def targeted_ascent_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     targets = np.asarray(targets, dtype=np.intp)
     if np.any(targets == y):
         raise ValueError("target class must differ from the true class")
+    if certify is not None and not retire:
+        raise ValueError("certify retires rows, so it needs retire")
 
     def margin(rows=slice(None)):
         t = targets[..., rows]
@@ -483,9 +486,10 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     group's ascent is done, the full fold bounds every pair (_margin_bounds;
     no bound for two or more hidden layers) and drops each later pair whose
     bound is below the row's best margin, since it can neither win nor tie
-    the fold; the later ranks run over the rows that still have some, and
-    the smaller row count can move a margin in its last bits.  An array
-    slots[K-1,n,d] receives each slot's etas, and then nothing is dropped.
+    the fold; the pairs left run by row then rank as flat [pairs, d] batches
+    of at most max(n, _GROUP_ELEMS // max(d, hidden..., K)) pairs, whose row
+    counts can move a margin in its last bits.  An array slots[K-1,n,d] (not
+    with live) receives each slot's etas, and then nothing is dropped.
     A mask live attacks only its rows and retires each row on the first
     ascent step that gives one of its pairs a margin > 0, before its backward
     pass: it returns that step's best candidate, and rows never attacked keep
@@ -496,6 +500,8 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     margin <= 0, and a later slot is dropped against its best margin there.
     The open slots run first and a row leaves once none are left, so the
     best class, its eta and the verdict are the full fold's."""
+    if live is not None and slots is not None:  # live leaves unattacked rows' slots unset
+        raise ValueError("beta_attack_batch takes live or slots, not both")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
     (n, d), k = X.shape, spec.class_count
@@ -518,6 +524,16 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
         order[i, m:] = np.take_along_axis(later, np.argsort(shut, axis=1, kind="stable"),
                                           axis=1)
         stop[i] -= shut.sum(axis=1)
+
+    def fold(at, etas, targets, margins):
+        # [m, len(at)] pairs: each row's best layer, then against its best so
+        # far; the lower class on equal margins, and fmax passes over a NaN
+        layer = np.where(margins == np.fmax.reduce(margins), targets, k).argmin(axis=0)
+        cols = np.arange(len(at))
+        new_j, new_m, kept_m = targets[layer, cols], margins[layer, cols], best[2][at]
+        better = (new_m > kept_m) | ((new_m == kept_m) & (new_j < best[1][at]))
+        for kept, value in zip(best, (etas, targets, margins)):
+            kept[at[better]] = value[layer[better], cols[better]]
 
     def certify(sub, g):
         # called inside the first group's call; a certified row drops them all
@@ -542,17 +558,21 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
             certify=None if full or first else certify)
         if slots is not None:
             slots[slot_of, at] = etas
-        # each row's best layer, then against its best so far; the lower
-        # class on equal margins, and fmax passes over a NaN
-        layer = np.where(margins == np.fmax.reduce(margins), targets, k).argmin(axis=0)
-        cols = np.arange(len(at))
-        new_j, new_m, kept_m = targets[layer, cols], margins[layer, cols], best[2][at]
-        better = (new_m > kept_m) | ((new_m == kept_m) & (new_j < best[1][at]))
-        for kept, value in zip(best, (etas, targets, margins)):
-            kept[at[better]] = value[layer[better], cols[better]]
-        if full and slots is None and not first and m < k - 1:  # sbeta_at keeps all
-            drop(rows, _margin_bounds(spec, params, X, y, cfg), best[2])
+        fold(at, etas, targets, margins)
         first += m
+        if full and slots is None and first < k - 1:  # beta_at: the rest as pair batches
+            drop(rows, _margin_bounds(spec, params, X, y, cfg), best[2])
+            pair_rows, pair_ranks = np.nonzero(np.arange(first, k - 1) < stop[:, None])
+            cap = max(n, _GROUP_ELEMS // max(d, *spec.hidden, k))
+            for c in range(0, len(pair_rows), cap):
+                at, rank = pair_rows[c:c + cap], pair_ranks[c:c + cap] + first
+                targets = wrong[at, slot_of := order[at, rank]]  # a slot's rows ascend
+                etas, margins = targeted_ascent_batch(
+                    spec, params, X[at], y[at], targets, cfg,
+                    draw=lambda: draw(slot_of[None], at)[0], clean=clean[at, slot_of])
+                for p in (rank == r for r in np.unique(rank)):  # a rank holds a row once
+                    fold(at[p], etas[None, p], targets[None, p], margins[None, p])
+            break
         if not full:
             live[at[(margins > 0).any(axis=0)]] = False
         live &= stop > first

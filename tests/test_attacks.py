@@ -449,15 +449,20 @@ def _serial_fold(spec, params, X, y, cfg):
     return best, per_slot
 
 
-def _fold_with_pairs(spec, params, X, y, cfg, slots=None):
+def _fold_with_pairs(spec, params, X, y, cfg, slots=None, sizes=None):
     """(beta_attack_batch's fold, ran): ran[i] lists the classes that the
-    ascents of row i targeted."""
+    ascents of row i targeted, from [m, rows, d] stacks and [pairs, d]
+    batches alike; sizes, a list, receives each call's pair count."""
     where = {x.tobytes(): i for i, x in enumerate(X)}
     ran = [[] for _ in X]
 
     def recording(spec, params, stack, y, targets, cfg, **kwargs):
-        for i, t in zip((where[x.tobytes()] for x in stack[0]), targets.T):
+        rows = stack[0] if stack.ndim == 3 else stack
+        for i, t in zip((where[x.tobytes()] for x in rows),
+                        targets.reshape(-1, len(rows)).T):
             ran[i].extend(t.tolist())
+        if sizes is not None:
+            sizes.append(targets.size)
         return targeted_ascent_batch(spec, params, stack, y, targets, cfg, **kwargs)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(attacks, "targeted_ascent_batch", recording)
@@ -472,15 +477,16 @@ def test_beta_fold_drops_only_the_pairs_that_cannot_win(hidden, k, norm):
     # 1000 rows of d = 40 run one rank per group: each row's most confusable
     # class first, then the bounds U of every pair (_margin_bounds) against
     # the row's best margin g so far.  A later pair with U < g can neither
-    # win nor tie the fold, so it is dropped, and the later ranks run over
-    # the rows that still have some.  Against the serial fold j* is equal,
-    # and a linear model's fold bit for bit; an MLP-48's later groups run
-    # on row subsets, whose margins may move in their last bits.  A deeper
-    # MLP's bounds are +inf, so it runs every pair, and so does sbeta_at's
-    # slots path.  With the last two classes tied and no steps, their
-    # margins are equal everywhere: the upper one is never dropped where
-    # the lower one holds g, and the lower one keeps the row.  (A tie that
-    # two ascents reach is exact only when both run on the same rows.)
+    # win nor tie the fold, so it is dropped, and the pairs left run as flat
+    # pair batches of at most max(n, 2**15 // max(d, hidden..., K)) pairs.
+    # Against the serial fold j* is equal, and a linear model's fold bit
+    # for bit; an MLP-48's pair batches run on other row counts, whose
+    # margins may move in their last bits.  A deeper MLP's bounds are +inf,
+    # so it runs every pair, and so does sbeta_at's slots path.  With the
+    # last two classes tied and no steps, their margins are equal
+    # everywhere: the upper one is never dropped where the lower one holds
+    # g, and the lower one keeps the row.  (A tie that two ascents reach is
+    # exact only when both run on the same rows.)
     rng = np.random.default_rng(k)
     n = 1000
     spec = ModelSpec("mlp" if hidden else "linear", 40, k, hidden)
@@ -494,9 +500,12 @@ def test_beta_fold_drops_only_the_pairs_that_cannot_win(hidden, k, norm):
     bump = (np.array(tie) == k - 2) * np.median(logits.max(axis=1) - logits[:, k - 2])
     tied = {**params, w: params[w][:, tie], b: params[b][tie] + bump}
     cfg = AttackConfig(epsilon=0.05 if norm == "l2" else 0.01, norm=norm, seed=4)
+    cap = max(n, 2 ** 15 // max(40, *hidden, k))
     for model, steps in ((params, 3), (tied, 0)):
         cfg = replace(cfg, steps=steps)
-        (etas, j_stars, margins), ran = _fold_with_pairs(spec, model, X, y, cfg)
+        sizes = []
+        (etas, j_stars, margins), ran = _fold_with_pairs(spec, model, X, y, cfg, sizes=sizes)
+        assert max(sizes) <= cap
         (ref_etas, ref_j, ref_margins), per_slot = _serial_fold(spec, model, X, y, cfg)
         assert np.array_equal(j_stars, ref_j)
         if hidden:
@@ -509,15 +518,18 @@ def test_beta_fold_drops_only_the_pairs_that_cannot_win(hidden, k, norm):
             assert pairs == n * (k - 1)
         else:
             assert pairs < n * (k - 1)
-        # each pair ran at most once, and every pair whose U reaches g, the
-        # margin of the row's first pair (whose group runs on every row), ran
+        # each pair ran at most once: the row's first pair (whose group runs
+        # on every row) and exactly the later pairs whose U reaches g, that
+        # first pair's margin; no dropped pair ran
         bounds = _margin_bounds(spec, model, X, y, cfg)
         raw = forward_logits(spec, model, X).data
         clean = np.take_along_axis(raw, wrong_classes(y, k), 1) - raw[np.arange(n), y, None]
-        g = per_slot[np.arange(n), np.argsort(-clean, axis=1, kind="stable")[:, 0]]
+        first = np.argsort(-clean, axis=1, kind="stable")[:, 0]
+        g = per_slot[np.arange(n), first]
         for i, classes in enumerate(ran):
             assert len(set(classes)) == len(classes)
-            assert np.isin(wrong_classes(y, k)[i, bounds[i] >= g[i]], classes).all()
+            open_ = (bounds[i] >= g[i]) | (np.arange(k - 1) == first[i])
+            assert sorted(classes) == wrong_classes(y, k)[i, open_].tolist()
         if model is tied:
             lower = (j_stars == k - 2) & (y < k - 2)
             assert lower.sum() > 100
@@ -525,6 +537,29 @@ def test_beta_fold_drops_only_the_pairs_that_cannot_win(hidden, k, norm):
     slots = np.empty((k - 1, n, 40))
     ran = _fold_with_pairs(spec, tied, X, y, cfg, slots)[1]
     assert sum(map(len, ran)) == n * (k - 1)
+
+
+def test_beta_rejects_live_with_slots():
+    # a live call never attacks a row wrong at x and retires rows early, so
+    # it would leave their slots unwritten: it fails before any ascent
+    data = generate_dataset(DatasetSpec("gaussian_blobs", 200, 5, 0.15, 5))
+    spec = ModelSpec("mlp", 2, 5, (16,))
+    params = init_params(spec, 0)
+    slots = np.full((4, 200, 2), np.nan)
+    with pytest.raises(ValueError, match="live.*slots"):
+        beta_attack_batch(spec, params, data.X, data.y, AttackConfig(epsilon=0.05, steps=5),
+                          live=np.ones(200, bool), slots=slots)
+    assert np.isnan(slots).all()
+
+
+def test_targeted_ascent_rejects_certify_without_retire():
+    # the certificate runs only where rows retire, so without retire it
+    # would be dropped unread
+    spec, params = counterexample()
+    with pytest.raises(ValueError, match="certify"):
+        targeted_ascent_batch(spec, params, np.zeros((2, 2)), np.array([0, 0]),
+                              np.array([1, 2]), AttackConfig(epsilon=0.1),
+                              certify=lambda rows, g: np.zeros(len(rows), bool))
 
 
 def test_beta_fold_drops_pairs_bit_for_bit_at_784d():
