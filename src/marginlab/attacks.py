@@ -25,15 +25,14 @@ deeper.  A later slot whose bound is below the row's best margin so far can
 neither win nor tie its fold, so it is dropped.  The full fold (beta_at)
 bounds its pairs after the first group and runs the rest as flat [pairs, d]
 batches; elsewhere later ranks run over the rows that still have some.
-Under a mask live (robust accuracy) a row wrong at x is never attacked, and
-a row leaves on the first ascent step that gives one of its pairs a
-margin > 0, since its verdict is then known; once the first group's first
-iterate is scored, the rows still unbroken are bounded, and a row whose
-bounds are all < 0 is certified and leaves, both before that step's
-backward pass; evaluate_robust checks only the open rows at x + eta, and
-its PGD attacks only the rows the bound leaves unproved (pgd_surrogate_batch,
-live).  Given a slots array (sbeta_at, whose defender weighs every slot),
-nothing is dropped and the loop hands back every slot's etas.
+Under a mask live (robust accuracy) only its rows are attacked, and a row
+leaves on the first ascent step that gives one of its pairs a margin > 0,
+before that step's backward pass, since its verdict is then known; after
+the first group the rows still unbroken are bounded, and a row whose bounds
+are all < 0 is certified and leaves.  evaluate_robust bounds the rows
+correct at x before PGD or BETA runs and attacks only the rows left
+unproved (live).  Given a slots array (sbeta_at, whose defender weighs
+every slot), nothing is dropped and the loop hands back every slot's etas.
 No attack builds an autodiff graph: the loop, FGSM, the grid oracles and
 single-sample results run the models.forward/backward kernel on per-row
 (values, gradient) objectives, with the graph's bits.
@@ -243,7 +242,7 @@ def _take_rows(X, rows):
 
 
 def _ascend(spec, params, X, cfg, start, objective, optimizer, best_vals,
-            retire=None, certify=None):
+            retire=None):
     """Projected ascent on a per-row objective(logits[..., n, K]) -> (values
     [..., n], dvalues/dlogits) through models.forward/backward, from the start
     that start(_linf_bounds(X, cfg)) draws; the one loop behind every
@@ -257,10 +256,7 @@ def _ascend(spec, params, X, cfg, start, objective, optimizer, best_vals,
     gradient.  Given retire(rows) -> the objective on those rows of X, a row
     leaves every layer on the first step whose iterate makes one of its best
     values > 0, with its best candidates so far, before that step's backward
-    pass.  Given also certify(rows, g) -> bool[len(rows)], it is called once,
-    after the first iterate is scored (so never with cfg.steps < 2), on the
-    rows none of whose values is > 0, with g their best value over the
-    layers; the rows it marks leave the same way.
+    pass.
     """
     best_pts, gone = X.copy(), []  # gone: (rows, etas, values) of rows that left
     d = X.shape[-1]
@@ -282,16 +278,13 @@ def _ascend(spec, params, X, cfg, start, objective, optimizer, best_vals,
         opt = OptimState(cfg.optimizer or optimizer, resolve_step_size(cfg))
         rows = np.arange(X.shape[-2])  # the call's rows still ascending
         layers = tuple(range(best_vals.ndim - 1))
-        for i in range(cfg.steps):
+        for _ in range(cfg.steps):
             logits, cache = forward(spec, params, pts)
             vals, dlogits = objective(logits)
             keep(pts, vals)
             if retire is not None:
                 # only rows that broke on this iterate: the others left
                 left = (best_vals > 0).any(axis=layers)
-                if i == 1 and certify is not None:
-                    open_ = np.flatnonzero(~left)
-                    left[open_] = certify(rows[open_], best_vals.max(axis=layers)[open_])
                 if left.any():  # they leave before this step's backward pass
                     out, stay = np.flatnonzero(left), np.flatnonzero(~left)
                     gone.append((rows[out], best_pts.take(out, -2) - _take_rows(X, out),
@@ -346,8 +339,7 @@ _GROUP_ELEMS = 2 ** 15
 
 def targeted_ascent_batch(spec: ModelSpec, params: dict, X: np.ndarray,
                           y: np.ndarray, targets: np.ndarray, cfg: AttackConfig,
-                          seed=None, draw=None, clean=None, retire=False,
-                          certify=None):
+                          seed=None, draw=None, clean=None, retire=False):
     """Projected ascent on logits[target] - logits[y] for a whole batch.
 
     X is a batch [n,d] with targets[n], or a stack [m,n,d] with one target
@@ -359,16 +351,13 @@ def targeted_ascent_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     uniform draws; clean, the margins at X, saves their forward pass.  With
     retire, a row leaves every layer on the first step that gives one of its
     pairs a best margin > 0, before that step's backward pass, and keeps its
-    best candidates up to that step; certify(rows, g) -> bool[len(rows)]
-    also retires the rows it marks after the first iterate (_ascend).
+    best candidates up to that step.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
     targets = np.asarray(targets, dtype=np.intp)
     if np.any(targets == y):
         raise ValueError("target class must differ from the true class")
-    if certify is not None and not retire:
-        raise ValueError("certify retires rows, so it needs retire")
 
     def margin(rows=slice(None)):
         t = targets[..., rows]
@@ -382,7 +371,7 @@ def targeted_ascent_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     # drawn in _ascend, whose first step frees it
     return _ascend(spec, params, X, cfg,
                    lambda bounds: _uniform_start(X, bounds, cfg, draw()),
-                   objective, "rmsprop", clean, margin if retire else None, certify)
+                   objective, "rmsprop", clean, margin if retire else None)
 
 
 def targeted_margin_ascent(spec: ModelSpec, params: dict, x, y: int,
@@ -493,13 +482,12 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     A mask live attacks only its rows and retires each row on the first
     ascent step that gives one of its pairs a margin > 0, before its backward
     pass: it returns that step's best candidate, and rows never attacked keep
-    eta 0, j* 0 and margin -inf.  Under live the bounds run inside the first
-    group instead, on the rows still unbroken once its first iterate is
-    scored (not with cfg.steps < 2): a row whose bounds are all < 0 is
-    certified and leaves the same way with its best candidate so far, its
-    margin <= 0, and a later slot is dropped against its best margin there.
-    The open slots run first and a row leaves once none are left, so the
-    best class, its eta and the verdict are the full fold's."""
+    eta 0, j* 0 and margin -inf.  Under live the bounds run after the first
+    group too (not with cfg.steps 0), on the rows it left unbroken: a row
+    whose bounds are all < 0 is certified and leaves with its best candidate,
+    its margin <= 0, and each later slot whose bound is below the row's best
+    margin is dropped.  The open slots run first and a row leaves once none
+    are left, so the best class, its eta and the verdict are the full fold's."""
     if live is not None and slots is not None:  # live leaves unattacked rows' slots unset
         raise ValueError("beta_attack_batch takes live or slots, not both")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -534,14 +522,6 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
         better = (new_m > kept_m) | ((new_m == kept_m) & (new_j < best[1][at]))
         for kept, value in zip(best, (etas, targets, margins)):
             kept[at[better]] = value[layer[better], cols[better]]
-
-    def certify(sub, g):
-        # called inside the first group's call; a certified row drops them all
-        i = at[sub]
-        bounds = _margin_bounds(spec, params, X[i], y[i], cfg)
-        proved = (bounds < 0).all(axis=1)
-        drop(i, bounds, np.where(proved, np.inf, g))
-        return proved
     first = 0
     while first < k - 1 and live.any():
         at = np.flatnonzero(live)
@@ -554,8 +534,7 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
         etas, margins = targeted_ascent_batch(
             spec, params, np.broadcast_to(part, (m, *part.shape)),
             y[at], targets, cfg, draw=lambda: draw(slot_of, at),
-            clean=clean[at, slot_of], retire=not full,
-            certify=None if full or first else certify)
+            clean=clean[at, slot_of], retire=not full)
         if slots is not None:
             slots[slot_of, at] = etas
         fold(at, etas, targets, margins)
@@ -575,6 +554,11 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
             break
         if not full:
             live[at[(margins > 0).any(axis=0)]] = False
+            if first == m and m < k - 1 and cfg.steps:  # after the first group
+                i = np.flatnonzero(live)
+                bounds = _margin_bounds(spec, params, X[i], y[i], cfg)
+                proved = (bounds < 0).all(axis=1)  # certified: every later slot drops
+                drop(i, bounds, np.where(proved, np.inf, best[2][i]))
         live &= stop > first
     return best
 

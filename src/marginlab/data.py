@@ -138,7 +138,8 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
-    """Read big-endian IDX image/label files; pixels scaled to [0, 1]."""
+    """Read big-endian IDX image/label files; pixels scaled to [0, 1].  A
+    file of 0 images is a ValueError."""
     with open(images_path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16:
@@ -146,6 +147,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     magic, n, rows, cols = struct.unpack(">IIII", raw[:16])
     if magic != IDX_IMAGES_MAGIC:
         raise IdxMagicError(f"{images_path}: bad magic 0x{magic:08x}")
+    if n == 0:  # no score is defined on no rows
+        raise ValueError(f"{images_path}: holds no images")
     if len(raw) != 16 + n * rows * cols:
         raise IdxTruncationError(
             f"{images_path}: expected {16 + n * rows * cols} bytes, got {len(raw)}")

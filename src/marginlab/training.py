@@ -102,7 +102,8 @@ def _check_labels(spec: ModelSpec, name: str, data: Dataset):
 def _proved(spec, params, data, correct, cfg):
     """bool[n]: the rows correct at x whose margin bounds are all < 0, bounded in
     data order in chunks of 16, 32, 64, ... rows until one proves under 5/cfg.steps
-    of its rows (half at 10 steps; no bound at 0): at 784-d a bound costs ~5 PGD steps."""
+    of its rows (half at 10 steps; no bound at 0): at 784-d a bound costs ~5 PGD or
+    BETA ascent steps."""
     proved, rows, size = np.zeros(len(data), bool), np.flatnonzero(correct), 16
     while cfg.steps and len(rows):
         i, rows = rows[:size], rows[size:]
@@ -119,14 +120,14 @@ def evaluate_robust(spec: ModelSpec, params: dict, data: Dataset,
     """{"clean": the share of rows correct at x, "robust": the share correct
     both at x and at the attacked point x + eta} for attack_kind fgsm, pgd,
     beta or grid_oracle (robust: not broken anywhere on the grid); the random
-    starts draw from seed, or from cfg.seed when None.  beta attacks only
-    the rows correct at x and leaves a row once its verdict is known, by a
-    break or a certificate (beta_attack_batch with live), before that step's
-    backward pass; the score equals the full fold's.  pgd first bounds the
-    rows correct at x (_proved) and attacks only the rest, each from its row
-    of the whole-batch draw; a proved row is robust.  Only the rows still
-    open (correct at x and, for pgd, not proved, for beta, not broken) are
-    checked at x + eta."""
+    starts draw from seed, or from cfg.seed when None.  pgd and beta first
+    bound the rows correct at x (_proved) and attack only the rest, each from
+    its row of the whole-batch draw; a proved row is robust.  beta leaves a
+    row once its verdict is known, by a break or a certificate after its
+    first group (beta_attack_batch with live); the score equals the full
+    fold's.  fgsm, one step, attacks every row correct at x.  Only the rows
+    still open (correct at x and, for pgd and beta, not proved, for beta, not
+    broken) are checked at x + eta."""
     if attack_kind not in ATTACK_KINDS:
         raise ValueError(f"unknown attack kind {attack_kind!r}")
     _check_labels(spec, "dataset", data)
@@ -145,15 +146,16 @@ def evaluate_robust(spec: ModelSpec, params: dict, data: Dataset,
         live = survived = correct  # live: the rows checked at x + eta
         if attack_kind == "fgsm":
             etas = fgsm_batch(spec, params, data.X, data.y, cfg, clean=(logits, cache))
-        elif attack_kind == "pgd":  # a proved row survives unattacked
+        else:  # a proved row survives unattacked
             live = correct & ~_proved(spec, params, data, correct, cfg)
-            etas = pgd_surrogate_batch(spec, params, data.X, data.y, cfg, seed=seed,
-                                       logits=logits, live=live)
-        else:  # early exit: a row broken leaves with its margin > 0, a row
-            # certified with its margin <= 0
-            etas, _, margins = beta_attack_batch(spec, params, data.X, data.y, cfg,
-                                                 seed=seed, live=correct, logits=logits)
-            live = survived = correct & ~(margins > 0)
+            if attack_kind == "pgd":
+                etas = pgd_surrogate_batch(spec, params, data.X, data.y, cfg, seed=seed,
+                                           logits=logits, live=live)
+            else:  # early exit: a row broken leaves with its margin > 0
+                etas, _, margins = beta_attack_batch(spec, params, data.X, data.y, cfg,
+                                                     seed=seed, live=live, logits=logits)
+                survived = correct & ~(margins > 0)
+                live &= survived
         at, survived = slice(None) if live.all() else np.flatnonzero(live), survived.copy()
         survived[at] = predict(spec, params, data.X[at] + etas[at]) == data.y[at]
     return {"clean": float(np.mean(correct)), "robust": float(np.mean(survived))}

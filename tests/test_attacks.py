@@ -539,6 +539,34 @@ def test_beta_fold_drops_only_the_pairs_that_cannot_win(hidden, k, norm):
     assert sum(map(len, ran)) == n * (k - 1)
 
 
+def test_beta_live_retires_a_certified_row_with_a_class_still_open(monkeypatch):
+    # linear, y = 0: class 1 has the larger clean margin, so it runs first,
+    # but class 2 reaches further over the ball (-0.7 against -0.94) and
+    # neither reaches 0.  After the first group class 2's bound is above g,
+    # the row's best margin, so the U < g rule keeps it open: the full fold
+    # runs it and picks it, while live retires the certified row unattacked
+    # by it, robust either way
+    spec, params = linear_model(np.array([[0.0, 0.1, 3.0], [0.0, 0.0, 0.0]]),
+                                np.array([0.0, -1.0, -2.5]))
+    n = 12000  # n * max(d, K) > _GROUP_ELEMS: one rank per group
+    X, y = np.full((n, 2), 0.5), np.zeros(n, np.intp)
+    cfg = AttackConfig(epsilon=0.1, steps=5, seed=1)
+    bounds = _margin_bounds(spec, params, X, y, cfg)
+    assert (bounds < 0).all()
+    ran = []
+
+    def recording(spec, params, X, y, targets, cfg, **kwargs):
+        ran.append(np.unique(targets).tolist())
+        return targeted_ascent_batch(spec, params, X, y, targets, cfg, **kwargs)
+    monkeypatch.setattr(attacks, "targeted_ascent_batch", recording)
+    _, j_stars, margins = beta_attack_batch(spec, params, X, y, cfg)
+    assert ran == [[1], [2]] and (j_stars == 2).all() and (margins < 0).all()
+    ran.clear()
+    _, j_stars, g = beta_attack_batch(spec, params, X, y, cfg, live=np.ones(n, bool))
+    assert ran == [[1]] and (j_stars == 1).all() and (g < 0).all()
+    assert (bounds[:, 1] >= g).all()  # class 2 stays open under U < g
+
+
 def test_beta_rejects_live_with_slots():
     # a live call never attacks a row wrong at x and retires rows early, so
     # it would leave their slots unwritten: it fails before any ascent
@@ -550,16 +578,6 @@ def test_beta_rejects_live_with_slots():
         beta_attack_batch(spec, params, data.X, data.y, AttackConfig(epsilon=0.05, steps=5),
                           live=np.ones(200, bool), slots=slots)
     assert np.isnan(slots).all()
-
-
-def test_targeted_ascent_rejects_certify_without_retire():
-    # the certificate runs only where rows retire, so without retire it
-    # would be dropped unread
-    spec, params = counterexample()
-    with pytest.raises(ValueError, match="certify"):
-        targeted_ascent_batch(spec, params, np.zeros((2, 2)), np.array([0, 0]),
-                              np.array([1, 2]), AttackConfig(epsilon=0.1),
-                              certify=lambda rows, g: np.zeros(len(rows), bool))
 
 
 def test_beta_fold_drops_pairs_bit_for_bit_at_784d():

@@ -430,6 +430,29 @@ def test_cli_commands_read_idx_files(tmp_path, capsys, command):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "attack", "oracle"])
+def test_cli_commands_reject_an_empty_idx_pair(tmp_path, capsys, command):
+    # 0 images and 0 labels: no score can be computed, so every command is a
+    # usage error naming the file, not a NaN score, a ZeroDivisionError or
+    # numpy's zero-size message
+    ip, lp = write_idx(tmp_path, n=0, rows=1, cols=3)
+    with pytest.raises(ValueError, match="imgs.idx"):
+        load_idx(ip, lp)
+    spec = ModelSpec("linear", 3, 3)
+    ckpt = str(tmp_path / "ckpt.json")
+    save_checkpoint(ckpt, Checkpoint(spec, init_params(spec, 0), {}))
+    cfg = {"dataset": {"kind": "idx_files", "images": ip, "labels": lp}}
+    cfg.update({"train": {"epochs": 1},
+                "eval": {"checkpoints": {"best": ckpt}, "attack": {"steps": 2}},
+                "attack": {"checkpoint": ckpt, "attack": {"steps": 2}},
+                "oracle": {"checkpoint": ckpt, "resolution": 2}}[command])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "imgs.idx" in err and "robust" not in out
+
+
 def test_cli_repro_commands_pass(capsys):
     assert main(["repro", "example-1"]) == 0
     assert "PASS" in capsys.readouterr().out

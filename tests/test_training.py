@@ -233,14 +233,13 @@ def erm_model(k, hidden, n=600):
 
 def _robust_equals_the_full_fold(spec, params, data, cfgs):
     """(evaluate_robust's beta score, rows it certified) per cfg, the score
-    checked against the full fold; with steps < 2 evaluate_robust computes
-    no bound.  Only evaluate_robust's bounds are recorded: the full fold
-    bounds its later ranks too."""
+    checked against the full fold.  Only evaluate_robust's bounds are
+    recorded, before the attack (_proved) and after its first group: the
+    full fold bounds its later ranks too."""
     correct = predict(spec, params, data.X) == data.y
     margin_bounds, retired = attacks._margin_bounds, []
 
     def recording(*args):
-        assert cfg.steps > 1
         out = margin_bounds(*args)
         retired[-1] += int((out < 0).all(axis=1).sum())
         return out
@@ -251,6 +250,7 @@ def _robust_equals_the_full_fold(spec, params, data, cfgs):
         retired.append(0)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(attacks, "_margin_bounds", recording)
+            patch.setattr(training, "_margin_bounds", recording)
             scores.append(evaluate_robust(spec, params, data, "beta", cfg)["robust"])
         assert scores[-1] == full
     return scores, retired
@@ -262,9 +262,9 @@ def test_beta_early_exit_accuracy_equals_the_full_fold(hidden, k):
     # 600 rows stack 5 linear slots per group, and MLP-64 slots once rows
     # leave, so rows drop out between groups and the rest regroup.  With the
     # last two classes' weights and biases tied, their margin is exactly 0
-    # everywhere; with no steps only the clean point is a candidate, and
-    # with 1 step no bound is computed.  With 2 steps the bounds run on the
-    # last step but one; at the smallest eps they certify rows of every model.
+    # everywhere; with no steps only the clean point is a candidate and no
+    # bound runs.  Otherwise the bounds run before the attack and after its
+    # first group; at the smallest eps they certify rows of every model.
     spec, params, data = erm_model(k, hidden)
     tie = [*range(k - 1), k - 2]
     w, b = f"w{len(hidden)}", f"b{len(hidden)}"
@@ -284,7 +284,7 @@ def test_beta_early_exit_accuracy_equals_the_full_fold(hidden, k):
 @pytest.mark.parametrize("hidden", [(), (64,)], ids=["linear", "mlp"])
 def test_beta_early_exit_keeps_the_full_folds_best_class(hidden, k):
     # a class is dropped only when its bound is below the row's best margin
-    # at the first iterate, so it could never have won the fold: every row
+    # after the first group, so it could never have won the fold: every row
     # neither broken nor certified keeps the full fold's j*.  Dropping every
     # class whose bound is < 0 would not: a class between the row's margin
     # and 0 may be its best (MLP-64, K=5 at eps 0.3 has such rows).
@@ -330,17 +330,16 @@ def test_beta_early_exit_accuracy_equals_the_full_fold_at_784d():
 
 
 def test_beta_early_exit_attacks_only_rows_still_robust(monkeypatch):
-    # a row misclassified at x never reaches targeted_ascent_batch; its
-    # first target is its most confusable class: the largest clean logit but
-    # its own, the lower class on ties (class 9 takes the weights and bias of
-    # the class most often most confusable, c, so c comes first).  The
-    # bounds run once, inside the first call, on exactly the rows that no
-    # pair has broken by the first iterate (the candidates of the 1-step
-    # ascent); the rows they certify are absent from that call's later
-    # forwards and from every later group.  A later rank of a row runs its
-    # open classes first (bound >= g, its best margin at the first iterate),
-    # in clean-margin order, and the row leaves once a group breaks it or no
-    # open class is left.  No grid point breaks a certified row.
+    # a row misclassified at x or proved before the attack (_proved) never
+    # reaches targeted_ascent_batch; its first target is its most confusable
+    # class: the largest clean logit but its own, the lower class on ties
+    # (class 9 takes the weights and bias of the class most often most
+    # confusable, c, so c comes first).  The bounds run once more, after the
+    # first call, on exactly the rows that call left unbroken; the rows they
+    # certify are absent from every later group.  A later rank of a row runs
+    # its open classes first (bound >= g, its best margin after the first
+    # call), in clean-margin order, and the row leaves once a group breaks it
+    # or no open class is left.  No grid point breaks a certified row.
     spec, params, data = erm_model(10, (64,))
 
     def wrong_logits(params):  # (logits with each row's own class at -inf, correct)
@@ -354,24 +353,18 @@ def test_beta_early_exit_attacks_only_rows_still_robust(monkeypatch):
     params = {**params, "w1": params["w1"][:, tie], "b1": params["b1"][tie]}
     logits, correct = wrong_logits(params)
     where = {x.tobytes(): i for i, x in enumerate(data.X)}
-    calls, events = [], []
-    targeted, margin_bounds, forward = (attacks.targeted_ascent_batch,
-                                        attacks._margin_bounds, attacks.forward)
+    events, proved_first = [], np.zeros(len(data), bool)
+    targeted, margin_bounds = attacks.targeted_ascent_batch, attacks._margin_bounds
 
     def rows_of(X):
         return np.array([where[x.tobytes()] for x in X], dtype=np.intp)
 
     def recording(spec, params, X, y, targets, cfg, **kwargs):
         assert kwargs["retire"] and all(np.array_equal(layer, X[0]) for layer in X)
-        assert (kwargs["certify"] is None) == bool(calls)
         rows = rows_of(X[0])
         assert np.array_equal(y, data.y[rows])
-        if not calls:  # the pairs' best margins once the first iterate is scored
-            _, first_iterate = targeted(spec, params, X, y, targets, replace(cfg, steps=1),
-                                        draw=kwargs["draw"], clean=kwargs["clean"])
-        events.append(("call", len(calls)))
         etas, margins = targeted(spec, params, X, y, targets, cfg, **kwargs)
-        calls.append((rows, targets, margins, None if calls else first_iterate))
+        events.append(("call", rows, targets, margins))
         return etas, margins
 
     def recording_bounds(spec, params, X, y, cfg):
@@ -379,49 +372,44 @@ def test_beta_early_exit_attacks_only_rows_still_robust(monkeypatch):
         events.append(("bounds", rows_of(X), out))
         return out
 
-    def recording_forward(spec, params, x):
-        events.append(("forward", x.copy()))
-        return forward(spec, params, x)
+    def recording_proved(spec, params, X, y, cfg):
+        out = margin_bounds(spec, params, X, y, cfg)
+        proved_first[rows_of(X)] = (out < 0).all(axis=1)
+        return out
     monkeypatch.setattr(attacks, "targeted_ascent_batch", recording)
     monkeypatch.setattr(attacks, "_margin_bounds", recording_bounds)
-    monkeypatch.setattr(attacks, "forward", recording_forward)
-    eps = 0.2  # the step size is the default's, and stays with fewer steps
-    evaluate_robust(spec, params, data, "beta",
-                    AttackConfig(epsilon=eps, steps=5, step_size=2 * eps / 5, seed=3))
+    monkeypatch.setattr(training, "_margin_bounds", recording_proved)
+    eps = 0.2
+    evaluate_robust(spec, params, data, "beta", AttackConfig(epsilon=eps, steps=5, seed=3))
 
-    rows, targets, margins, first_iterate = calls[0]
-    assert np.array_equal(rows, np.flatnonzero(correct)) and not correct.all()
+    kinds = [e[0] for e in events]
+    assert kinds.count("bounds") == 1 and kinds.index("bounds") == 1
+    calls = [e[1:] for e in events if e[0] == "call"]
+    rows, targets, margins = calls[0]
+    assert np.array_equal(rows, np.flatnonzero(correct & ~proved_first))
+    assert proved_first.any() and not correct.all()
     assert np.array_equal(targets[0], np.argmax(logits[rows], axis=1))
     assert (targets[0] == c).sum() >= 5
-    kinds = [e[0] for e in events]
-    at = kinds.index("bounds")
-    assert kinds.count("bounds") == 1 and kinds[:at].count("call") == 1
-    _, checked, bounds = events[at]
-    assert np.array_equal(checked, rows[~(first_iterate > 0).any(axis=0)])
+    _, checked, bounds = events[1]
+    assert np.array_equal(checked, rows[~(margins > 0).any(axis=0)])
     proved = (bounds < 0).all(axis=1)
     assert 0 < proved.sum() < len(checked)
-    # the call's later forwards hold only rows neither broken nor certified
-    stay = checked[~proved]
-    end = kinds.index("call", at) if "call" in kinds[at:] else len(kinds)
-    later = [e[1] for e in events[at:end] if e[0] == "forward"]
-    assert later and np.abs(later[0] - data.X[stay]).max() <= eps + 1e-12
-    assert all(a.shape[-2] >= b.shape[-2] for a, b in zip(later, later[1:]))
 
     # each row's later ranks: its open classes first, in clean-margin order
     wrong = wrong_classes(data.y, 10)
     every, raw = np.arange(len(data)), forward_logits(spec, params, data.X).data
     clean = raw[every[:, None], wrong] - raw[every, data.y][:, None]
     order = np.argsort(-clean, axis=1, kind="stable")
-    m0, g = len(targets), dict(zip(rows, first_iterate.max(axis=0)))
+    m0, g = len(targets), dict(zip(rows, margins.max(axis=0)))
     seq, stop = {}, {}
-    for i, u in zip(stay, bounds[~proved]):
+    for i, u in zip(checked[~proved], bounds[~proved]):
         slots = order[i, m0:]
         shut = u[slots] < g[i]
         seq[i] = wrong[i, np.concatenate([slots[~shut], slots[shut]])]
         stop[i] = m0 + (~shut).sum()
     assert sum(stop.values()) < len(stop) * 9  # some classes were dropped
-    alive, first = rows[~(margins > 0).any(axis=0)], m0
-    for rows, targets, margins, _ in calls[1:]:
+    alive, first = checked, m0
+    for rows, targets, margins in calls[1:]:
         assert np.array_equal(rows, [i for i in alive if stop.get(i, 0) > first])
         for col, i in enumerate(rows):
             assert np.array_equal(targets[:, col],
@@ -434,9 +422,10 @@ def test_beta_early_exit_attacks_only_rows_still_robust(monkeypatch):
 
 def test_a_leaving_row_takes_no_backward_pass(monkeypatch):
     # inside each retiring ascent the kernel runs forward, backward, ...,
-    # forward: a row that breaks or is certified leaves before that step's
-    # backward pass, so each backward holds the rows of the next forward,
-    # fewer than its own forward's on a step where rows leave
+    # forward: a row that breaks leaves before that step's backward pass, so
+    # each backward holds the rows of the next forward, fewer than its own
+    # forward's on a step where rows leave.  Rows certified before the attack
+    # (_proved) never enter it
     spec, params, data = erm_model(5, (16,))
     calls, certified = [], []
     targeted, margin_bounds = attacks.targeted_ascent_batch, attacks._margin_bounds
@@ -461,7 +450,7 @@ def test_a_leaving_row_takes_no_backward_pass(monkeypatch):
     record("forward")
     record("backward")
     monkeypatch.setattr(attacks, "targeted_ascent_batch", recording)
-    monkeypatch.setattr(attacks, "_margin_bounds", recording_bounds)
+    monkeypatch.setattr(training, "_margin_bounds", recording_bounds)
     out = evaluate_robust(spec, params, data, "beta",
                           AttackConfig(epsilon=0.1, step_size=0.01, seed=3))
     assert sum(certified) > 0 and out["robust"] < out["clean"]  # rows certify, rows break
@@ -472,52 +461,58 @@ def test_a_leaving_row_takes_no_backward_pass(monkeypatch):
         for own, back, after in zip(rows[::2], rows[1::2], rows[2::2]):
             assert back == after and back[-1] <= own[-1]
             leaving += back[-1] < own[-1]
-    assert leaving >= 3  # at the start, the certificate and a later iterate
+    assert leaving >= 3  # at the start and at later iterates
 
 
 @pytest.mark.parametrize("kind", ["fgsm", "pgd", "beta"])
 def test_evaluate_robust_predicts_only_the_open_rows(monkeypatch, kind):
     # predict sees x + eta of exactly the open rows: those correct at x and,
-    # for pgd, not proved by the margin bounds, for beta, not broken; every
-    # other row's verdict is known.  pgd attacks only its open rows, with the
-    # full-batch call's etas.  The score is the full predict's, on a set whose
-    # every row is correct at x (pgd proves some of them), one with a single
-    # correct row (well inside its class: pgd proves it) and one with none
+    # for pgd and beta, not proved by the margin bounds, for beta, not
+    # broken; every other row's verdict is known.  pgd and beta attack only
+    # the rows correct at x and not proved, pgd with the full-batch call's
+    # etas.  The score is the full predict's, on a set whose every row is
+    # correct at x (the bounds prove some of them), one with a single correct
+    # row (well inside its class: the bounds prove it) and one with none
     spec, params, data = erm_model(3, (16,), n=300)
     cfg = AttackConfig(epsilon=0.05, steps=5, seed=3)
     fit = predict(spec, params, data.X)
     margins = beta_attack_batch(spec, params, data.X, fit, cfg)[2]
     one = np.arange(len(data)) == np.argmin(margins)
-    pgd, seen, lives = training.pgd_surrogate_batch, [], []
+    seen, lives = [], []
 
     def recording(spec, params, x):
         seen.append(x.copy())
         return predict(spec, params, x)
 
-    def recording_pgd(*args, live, **kwargs):
-        lives.append(live)
-        return pgd(*args, live=live, **kwargs)
+    def recording_attack(name):
+        attack = getattr(training, name)
+
+        def run(*args, live, **kwargs):
+            lives.append(live.copy())
+            return attack(*args, live=live, **kwargs)
+        monkeypatch.setattr(training, name, run)
     monkeypatch.setattr(training, "predict", recording)
-    monkeypatch.setattr(training, "pgd_surrogate_batch", recording_pgd)
-    for y, n_open in ((fit, None), (np.where(one, fit, (fit + 1) % 3), int(kind != "pgd")),
+    recording_attack("pgd_surrogate_batch")
+    recording_attack("beta_attack_batch")
+    for y, n_open in ((fit, None), (np.where(one, fit, (fit + 1) % 3), int(kind == "fgsm")),
                       ((fit + 1) % 3, 0)):
         ok = fit == y
         if kind == "fgsm":
             etas, open_ = attacks.fgsm_batch(spec, params, data.X, y, cfg), ok
         elif kind == "pgd":
             etas = attacks.pgd_surrogate_batch(spec, params, data.X, y, cfg)
-        else:
-            etas, _, margins = beta_attack_batch(spec, params, data.X, y, cfg, live=ok)
-            open_ = ok & ~(margins > 0)
         seen.clear()
         lives.clear()
         out = evaluate_robust(spec, params, Dataset(data.X, y), kind, cfg)
-        if kind == "pgd":
+        if kind != "fgsm":
             (open_,) = lives
             proved = ok & ~open_
             assert not (open_ & ~ok).any()
             assert (attacks._margin_bounds(spec, params, data.X[proved], y[proved], cfg)
                     < 0).all()
+        if kind == "beta":
+            etas, _, margins = beta_attack_batch(spec, params, data.X, y, cfg, live=open_)
+            open_ = open_ & ~(margins > 0)
         assert len(seen) == 1 and np.array_equal(seen[0], (data.X + etas)[open_])
         assert out["clean"] == np.mean(ok)
         assert out["robust"] == np.mean(ok & (predict(spec, params, data.X + etas) == y))
@@ -527,32 +522,38 @@ def test_evaluate_robust_predicts_only_the_open_rows(monkeypatch, kind):
             assert open_.sum() == n_open
 
 
-@pytest.mark.parametrize("hidden", [(), (16,), (8, 8)], ids=["linear", "mlp16", "mlp8-8"])
+@pytest.mark.parametrize("hidden, kind", [
+    pytest.param(hidden, kind, id=name if kind == "pgd" else f"{name}-{kind}")
+    for kind in ("pgd", "beta")
+    for hidden, name in (((), "linear"), ((16,), "mlp16"), ((8, 8), "mlp8-8"))])
 def test_pgd_robust_accuracy_proves_only_robust_rows_and_keeps_its_score(monkeypatch,
-                                                                         hidden):
-    # every row evaluate_robust("pgd") proves and skips survives the grid
-    # oracle, and the score is one full-batch PGD's plus predict; the bound
-    # settles nothing behind two hidden layers
+                                                                         hidden, kind):
+    # every row evaluate_robust proves and skips, for pgd and beta alike,
+    # survives the grid oracle, and the score is one full-batch attack's (pgd,
+    # or beta's full fold) plus predict; the bound settles nothing behind two
+    # hidden layers
     spec, params, data = erm_model(3, hidden, n=120)
-    pgd, lives = training.pgd_surrogate_batch, []
+    name = {"pgd": "pgd_surrogate_batch", "beta": "beta_attack_batch"}[kind]
+    attack, lives = getattr(training, name), []
 
-    def recording_pgd(*args, live, **kwargs):
-        lives.append(live)
-        return pgd(*args, live=live, **kwargs)
-    monkeypatch.setattr(training, "pgd_surrogate_batch", recording_pgd)
+    def recording(*args, live, **kwargs):
+        lives.append(live.copy())
+        return attack(*args, live=live, **kwargs)
+    monkeypatch.setattr(training, name, recording)
     correct = predict(spec, params, data.X) == data.y
     n_proved = 0
     for eps in (0.01, 0.05, 0.12):
         cfg = AttackConfig(epsilon=eps, steps=10, seed=2)
         lives.clear()
-        out = evaluate_robust(spec, params, data, "pgd", cfg)
+        out = evaluate_robust(spec, params, data, kind, cfg)
         (live,) = lives
         proved = np.flatnonzero(correct & ~live)
         n_proved += len(proved)
         for i in proved:
             assert not grid_oracle_attack(spec, params, data.X[i], data.y[i], eps,
                                           20).success
-        etas = pgd(spec, params, data.X, data.y, cfg)
+        etas = attack(spec, params, data.X, data.y, cfg)
+        etas = etas[0] if kind == "beta" else etas
         assert out["robust"] == np.mean(correct & (predict(spec, params, data.X + etas)
                                                    == data.y))
     assert (n_proved == 0) == (len(hidden) > 1)
