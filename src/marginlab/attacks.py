@@ -13,26 +13,26 @@ makes robust accuracy <= clean accuracy hold exactly during evaluation.
 BETA's K-1 per-class problems (slots) are independent.  beta_attack_batch
 holds the one loop over them and the one fold, for training and evaluation
 alike.  Each row takes its slots most confusable first, by clean margin.
-One targeted_ascent_batch call runs a group of ranks as an [m,n,d] stack
-with one target per (row, slot) pair, while m*n*max(d, hidden..., K) <=
-2**15.  Each layer gets its own matmuls, and each pair starts from its row
-of its slot's whole-batch draw, whichever group it runs in, so a group over
-all the rows has the bits of one slot at a time.  A linear relaxation of
-each ReLU (Wong & Kolter 2018, CROWN) bounds every margin over the whole
-feasible set, at about one backward pass per slot (_margin_bounds); it is
-exact for linear models, covers one hidden layer, and settles nothing
-deeper.  A later slot whose bound is below the row's best margin so far can
-neither win nor tie its fold, so it is dropped.  The full fold (beta_at)
-bounds its pairs after the first group and runs the rest as flat [pairs, d]
-batches; elsewhere later ranks run over the rows that still have some.
-Under a mask live (robust accuracy) only its rows are attacked, and a row
-leaves on the first ascent step that gives one of its pairs a margin > 0,
-before that step's backward pass, since its verdict is then known; after
-the first group the rows still unbroken are bounded, and a row whose bounds
-are all < 0 is certified and leaves.  evaluate_robust bounds the rows
-correct at x before PGD or BETA runs and attacks only the rows left
-unproved (live).  Given a slots array (sbeta_at, whose defender weighs
-every slot), nothing is dropped and the loop hands back every slot's etas.
+Every targeted_ascent_batch call runs a flat batch of (row, slot) pairs,
+[pairs, d] with one target each, and each pair starts from its row of its
+slot's whole-batch draw, whichever call it runs in.  The first call holds
+every row's first m ranks, while m*rows*max(d, hidden..., K) <= 2**15.  A
+linear relaxation of each ReLU (Wong & Kolter 2018, CROWN) bounds every
+margin over the whole feasible set, at about one backward pass per slot
+(_margin_bounds); it is exact for linear models, covers one hidden layer,
+and settles nothing deeper.  After the first call, a later slot whose bound
+is below the row's best margin so far can neither win nor tie its fold, so
+it is dropped; the pairs left run rank by rank, in calls of at most
+max(n, 2**15 // max(d, hidden..., K)) pairs.  A call's pair count can move
+a margin in its last bits.  Under a mask live (robust accuracy) only its
+rows are attacked, and all of a row's pairs in a call leave on the first
+ascent step that gives one of them a margin > 0, before that step's
+backward pass, since its verdict is then known; after the first call the
+rows still unbroken are bounded, and a row whose bounds are all < 0 is
+certified and leaves.  evaluate_robust bounds the rows correct at x before
+PGD or BETA runs and attacks only the rows left unproved (live).  Given a
+slots array (sbeta_at, whose defender weighs every slot), nothing is
+dropped and the loop hands back every slot's etas.
 No attack builds an autodiff graph: the loop, FGSM, the grid oracles and
 single-sample results run the models.forward/backward kernel on per-row
 (values, gradient) objectives, with the graph's bits.
@@ -147,6 +147,14 @@ def project(x: np.ndarray, candidate: np.ndarray, cfg: AttackConfig) -> np.ndarr
     return out
 
 
+def _check_live(live, n):
+    """A mask live of the rows to attack is a bool array [n]: an int mask
+    would index rows, and a shorter one broadcast."""
+    if live is not None and not (isinstance(live, np.ndarray) and live.dtype == bool
+                                 and live.shape == (n,)):
+        raise ValueError(f"live must be a bool array of shape ({n},)")
+
+
 def _key(seed, cfg: AttackConfig, slot=0) -> tuple:
     """The stream key of one slot of an attack: seed is the (seed, kind,
     epoch, step) run_training passes, or an int (cfg.seed when None) for EVAL."""
@@ -155,7 +163,7 @@ def _key(seed, cfg: AttackConfig, slot=0) -> tuple:
 
 
 def _uniform_start(x: np.ndarray, bounds, cfg: AttackConfig, u) -> np.ndarray:
-    """A feasible random start around x[..., n, d] from its bounds =
+    """A feasible random start around x[n, d] from its bounds =
     _linf_bounds(x, cfg): the uniform [0, 1) draws u, shaped like x, scaled in
     place to [lo, hi) and projected onto the ball.  With u a generator's
     random(x.shape) this has the bits of its uniform(lo, hi)."""
@@ -193,39 +201,37 @@ def _gather(gen, rows, out):
 
 
 def _slot_draws(seed, cfg: AttackConfig, shape):
-    """draw(slot_of[m, r], rows[r]) -> u[m, r, d] for a batch of shape[1]
-    rows and shape[0] slots: pair (l, j) gets row rows[j] (ascending) of
-    stream(*_key(seed, cfg, slot_of[l, j])).random(shape[1:]), with its bits,
-    whatever was drawn before.  A batch of at most _GROUP_ELEMS numbers keeps
-    every slot's whole draw; for a larger one each slot's generator is built
-    once, restarted from its saved state and its rows gathered.  Gathering
-    at every size costs a small batch a restore and a gather per slot in
-    each layer: on the 2-D desk benchmark (2 vCPUs) that read eval_s.beta
-    1.26x and epoch_s.beta_at 1.24x, slower in 8 of 8 pairs."""
+    """draw(slot[p], rows[p]) -> u[p, d] for a batch of shape[1] rows and
+    shape[0] slots: pair j gets row rows[j] of
+    stream(*_key(seed, cfg, slot[j])).random(shape[1:]), with its bits,
+    whatever was drawn before; a slot holds a row at most once per call.  A
+    batch of at most _GROUP_ELEMS numbers keeps every slot's whole draw; for
+    a larger one each slot's generator is built once, restarted from its
+    saved state and its rows gathered in ascending order.  Gathering at every
+    size costs a small batch a restore and a gather per slot in each call:
+    on the 2-D desk benchmark (2 vCPUs) that read eval_s.beta 1.26x and
+    epoch_s.beta_at 1.24x, slower in 8 of 8 pairs."""
     n_slots, n, d = shape
-    if n * d <= _GROUP_ELEMS:  # at most 2.4 MB for 10 classes; one fancy index a group
+    if n * d <= _GROUP_ELEMS:  # at most 2.4 MB for 10 classes; one fancy index a call
         kept = np.empty(shape)
         for s in range(n_slots):
             stream(*_key(seed, cfg, s)).random(out=kept[s])
-        return lambda slot_of, rows: kept[slot_of, rows]
+        return lambda slot, rows: kept[slot, rows]
     gens = {}
 
-    def draw(slot_of, rows):
-        u = np.empty((*slot_of.shape, d))
-        for layer, slot_row in zip(u, slot_of):
-            for s in np.unique(slot_row).tolist():
-                if s not in gens:
-                    gen = stream(*_key(seed, cfg, s))
-                    gens[s] = gen, gen.bit_generator.state
-                gen, state = gens[s]
-                gen.bit_generator.state = state
-                cols = np.flatnonzero(slot_row == s)
-                if len(cols) == len(rows):
-                    _gather(gen, rows, layer)
-                else:
-                    part = np.empty((len(cols), d))
-                    _gather(gen, rows[cols], part)
-                    layer[cols] = part
+    def draw(slot, rows):
+        u = np.empty((len(rows), d))
+        for s in np.unique(slot).tolist():
+            if s not in gens:
+                gen = stream(*_key(seed, cfg, s))
+                gens[s] = gen, gen.bit_generator.state
+            gen, state = gens[s]
+            gen.bit_generator.state = state
+            cols = np.flatnonzero(slot == s)
+            cols = cols[np.argsort(rows[cols], kind="stable")]  # _gather's rows ascend
+            part = np.empty((len(cols), d))
+            _gather(gen, rows[cols], part)
+            u[cols] = part
         return u
     return draw
 
@@ -233,33 +239,24 @@ def _slot_draws(seed, cfg: AttackConfig, shape):
 # -- projected ascent, per-class margin ascent ---------------------------------
 
 
-def _take_rows(X, rows):
-    """X.take(rows, -2); a stack whose layers are one broadcast batch stays
-    a broadcast view of that batch's rows, not an m-fold copy."""
-    if X.ndim == 3 and X.strides[0] == 0:
-        return np.broadcast_to(X[0].take(rows, 0), (len(X), len(rows), X.shape[-1]))
-    return X.take(rows, -2)
-
-
 def _ascend(spec, params, X, cfg, start, objective, optimizer, best_vals,
             retire=None):
-    """Projected ascent on a per-row objective(logits[..., n, K]) -> (values
-    [..., n], dvalues/dlogits) through models.forward/backward, from the start
-    that start(_linf_bounds(X, cfg)) draws; the one loop behind every
-    iterative attack.  X is a batch [n,d] or a stack [m,n,d]; `optimizer` is
-    used when cfg names none; best_vals, the objective at X (the clean
-    candidate), is overwritten.
+    """Projected ascent on a per-row objective(logits[n, K]) -> (values[n],
+    dvalues/dlogits) through models.forward/backward, from the start that
+    start(_linf_bounds(X, cfg)) draws; the one loop behind every iterative
+    attack.  X is a batch [n, d]; `optimizer` is used when cfg names none;
+    best_vals, the objective at X (the clean candidate), is overwritten.
 
-    Returns (etas[..., n, d], values[..., n]): per row the best candidate
-    evaluated (clean point, random start, every iterate) and its objective
-    value.  Each iterate's value comes from the forward pass built for its
-    gradient.  Given retire(rows) -> the objective on those rows of X, a row
-    leaves every layer on the first step whose iterate makes one of its best
-    values > 0, with its best candidates so far, before that step's backward
-    pass.
+    Returns (etas[n, d], values[n]): per row the best candidate evaluated
+    (clean point, random start, every iterate) and its objective value.
+    Each iterate's value comes from the forward pass built for its gradient.
+    Given retire = (ids[n], objective_on(rows) -> the objective on those rows
+    of X), every row of an id leaves on the first step whose iterate makes
+    one of that id's best values > 0, with its best candidate so far, before
+    that step's backward pass.
     """
     best_pts, gone = X.copy(), []  # gone: (rows, etas, values) of rows that left
-    d = X.shape[-1]
+    d = X.shape[1]
 
     def keep(pts, vals):
         improved = vals > best_vals
@@ -270,37 +267,37 @@ def _ascend(spec, params, X, cfg, start, objective, optimizer, best_vals,
             best_pts[improved] = pts[improved]
         else:
             np.copyto(best_vals, vals, where=improved)
-            np.copyto(best_pts, pts, where=improved[..., None])
+            np.copyto(best_pts, pts, where=improved[:, None])
 
     if cfg.epsilon > 0 and cfg.steps > 0:
         bounds = _linf_bounds(X, cfg)
         pts = start(bounds)
         opt = OptimState(cfg.optimizer or optimizer, resolve_step_size(cfg))
-        rows = np.arange(X.shape[-2])  # the call's rows still ascending
-        layers = tuple(range(best_vals.ndim - 1))
+        rows = np.arange(len(X))  # the call's rows still ascending
+        if retire is not None:
+            ids, objective_on = retire
+            broke = np.zeros(ids.max(initial=-1) + 1, bool)  # by id
         for _ in range(cfg.steps):
             logits, cache = forward(spec, params, pts)
             vals, dlogits = objective(logits)
             keep(pts, vals)
             if retire is not None:
-                # only rows that broke on this iterate: the others left
-                left = (best_vals > 0).any(axis=layers)
+                # only ids that broke on this iterate: the others left
+                broke[ids[best_vals > 0]] = True
+                left = broke[ids]
                 if left.any():  # they leave before this step's backward pass
                     out, stay = np.flatnonzero(left), np.flatnonzero(~left)
-                    gone.append((rows[out], best_pts.take(out, -2) - _take_rows(X, out),
-                                 best_vals.take(out, -1)))
+                    gone.append((rows[out], best_pts[out] - X[out], best_vals[out]))
                     # one copy at a time, each source freed as it is replaced; the
                     # input gradient reads only the ReLU masks of the cache
-                    cache = ((), [mask.take(stay, -2) for mask in cache[1]])
-                    dlogits = dlogits.take(stay, -2)
-                    X = _take_rows(X, stay)
-                    pts = pts.take(stay, -2)
-                    best_pts = best_pts.take(stay, -2)
-                    bounds = tuple(b.take(stay, -2) for b in bounds)
+                    cache = ((), [mask[stay] for mask in cache[1]])
+                    dlogits = dlogits[stay]
+                    X, pts, best_pts = X[stay], pts[stay], best_pts[stay]
+                    bounds = tuple(b[stay] for b in bounds)
                     for key in opt.slots:
-                        opt.slots[key] = opt.slots[key].take(stay, -2)
-                    best_vals, rows = best_vals.take(stay, -1), rows[stay]
-                    objective = retire(rows)
+                        opt.slots[key] = opt.slots[key][stay]
+                    best_vals, rows, ids = best_vals[stay], rows[stay], ids[stay]
+                    objective = objective_on(rows)
                     if not len(rows):
                         break
             # step returns a fresh array, so the clip may write into it
@@ -312,10 +309,10 @@ def _ascend(spec, params, X, cfg, start, objective, optimizer, best_vals,
     if not gone:
         return best_pts - X, best_vals
     gone.append((rows, best_pts - X, best_vals))
-    etas = np.empty((*best_vals.shape[:-1], sum(len(r) for r, _, _ in gone), X.shape[-1]))
-    values = np.empty(etas.shape[:-1])
+    etas = np.empty((sum(len(r) for r, _, _ in gone), X.shape[1]))
+    values = np.empty(len(etas))
     for r, e, v in gone:
-        etas[..., r, :], values[..., r] = e, v
+        etas[r], values[r] = e, v
     return etas, values
 
 
@@ -327,31 +324,28 @@ def wrong_classes(y, k):
 
 
 # 2**15 float64s is 256 KB per activation.  On 2-D MLP-16 BETA calls the
-# groups this allows made 400- to 1000-row batches 7-42% faster, while 2-3
-# slots of a 2000-row batch moved -6% to +9% and 9 slots lost 25-32%;
-# all K-1 slots of a 2000x784 batch ran 15% slower stacked than one by one.
-# A group's rows are the rows still live, so once rows retire the ranks
-# left run in larger groups; a batch of at most this many numbers also
-# keeps each slot's whole random draw for the call (_slot_draws).  The full
-# fold's pair batches hold max(n, this // width) pairs; more moved a last bit.
+# first calls this allows (m ranks of every row) made 400- to 1000-row
+# batches 7-42% faster, while 2-3 slots of a 2000-row batch moved -6% to +9%
+# and 9 slots lost 25-32%; all K-1 slots of a 2000x784 batch ran 15% slower
+# in one call than one by one (measured when a call stacked its ranks).
+# Later calls hold max(n, this // width) pairs; with no cap a 784-d fold
+# moved a margin's last bit.  A batch of at most this many numbers also
+# keeps each slot's whole random draw for the call (_slot_draws).
 _GROUP_ELEMS = 2 ** 15
 
 
 def targeted_ascent_batch(spec: ModelSpec, params: dict, X: np.ndarray,
                           y: np.ndarray, targets: np.ndarray, cfg: AttackConfig,
-                          seed=None, draw=None, clean=None, retire=False):
-    """Projected ascent on logits[target] - logits[y] for a whole batch.
-
-    X is a batch [n,d] with targets[n], or a stack [m,n,d] with one target
-    per (layer, row) pair in targets[m,n]; y is [n].  Returns (etas shaped
-    like X, margins[..., n]) for the best candidate each pair has seen: the
-    clean point, the random start and every iterate.  Each layer gets its
-    own matmuls, so a stack has the bits of one call per layer.  The start
-    draws stream(*_key(seed, cfg)).random(X.shape), or draw() gives those
-    uniform draws; clean, the margins at X, saves their forward pass.  With
-    retire, a row leaves every layer on the first step that gives one of its
-    pairs a best margin > 0, before that step's backward pass, and keeps its
-    best candidates up to that step.
+                          seed=None, draw=None, clean=None, retire=None):
+    """Projected ascent on logits[target] - logits[y] for a flat batch of
+    pairs X[p, d], y[p] and targets[p].  Returns (etas[p, d], margins[p])
+    for the best candidate each pair has seen: the clean point, the random
+    start and every iterate.  The start draws
+    stream(*_key(seed, cfg)).random(X.shape), or draw() gives those uniform
+    draws; clean, the margins at X, saves their forward pass.  Given retire,
+    each pair's row id [p], all of a row's pairs leave on the first step
+    that gives one of them a best margin > 0, before that step's backward
+    pass, and keep their best candidates up to that step.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
@@ -360,9 +354,8 @@ def targeted_ascent_batch(spec: ModelSpec, params: dict, X: np.ndarray,
         raise ValueError("target class must differ from the true class")
 
     def margin(rows=slice(None)):
-        t = targets[..., rows]
-        return margin_rows(np.broadcast_to(y[rows], t.shape).ravel(), t.ravel(),
-                           spec.class_count, t.shape)
+        t = targets[rows]
+        return margin_rows(y[rows], t, spec.class_count, t.shape)
 
     objective = margin()
     clean = (objective(forward(spec, params, X)[0])[0] if clean is None
@@ -371,7 +364,8 @@ def targeted_ascent_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     # drawn in _ascend, whose first step frees it
     return _ascend(spec, params, X, cfg,
                    lambda bounds: _uniform_start(X, bounds, cfg, draw()),
-                   objective, "rmsprop", clean, margin if retire else None)
+                   objective, "rmsprop", clean,
+                   None if retire is None else (np.asarray(retire, np.intp), margin))
 
 
 def targeted_margin_ascent(spec: ModelSpec, params: dict, x, y: int,
@@ -467,33 +461,36 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     (etas[n,d], j_stars[n], margins[n]), the lowest class on equal margins.
     The one loop over BETA's slots: slot s of row i targets column s of
     wrong_classes(y, K) and starts from row i of the whole-batch draw keyed
-    _key(seed, cfg, s), whichever round it runs in.  Each row takes its
+    _key(seed, cfg, s), whichever call it runs in.  Each row takes its
     slots most confusable first (largest clean margin, the lower slot on
-    ties), in groups of (row, slot) pairs, one targeted_ascent_batch call
-    each, while m*rows*max(d, hidden..., K) <= _GROUP_ELEMS.  The clean
-    logits are computed once, or passed as logits[n,K].  Once the first
-    group's ascent is done, the full fold bounds every pair (_margin_bounds;
-    no bound for two or more hidden layers) and drops each later pair whose
-    bound is below the row's best margin, since it can neither win nor tie
-    the fold; the pairs left run by row then rank as flat [pairs, d] batches
-    of at most max(n, _GROUP_ELEMS // max(d, hidden..., K)) pairs, whose row
-    counts can move a margin in its last bits.  An array slots[K-1,n,d] (not
-    with live) receives each slot's etas, and then nothing is dropped.
-    A mask live attacks only its rows and retires each row on the first
-    ascent step that gives one of its pairs a margin > 0, before its backward
-    pass: it returns that step's best candidate, and rows never attacked keep
-    eta 0, j* 0 and margin -inf.  Under live the bounds run after the first
-    group too (not with cfg.steps 0), on the rows it left unbroken: a row
-    whose bounds are all < 0 is certified and leaves with its best candidate,
-    its margin <= 0, and each later slot whose bound is below the row's best
-    margin is dropped.  The open slots run first and a row leaves once none
-    are left, so the best class, its eta and the verdict are the full fold's."""
+    ties), as flat (row, rank) pairs in targeted_ascent_batch calls.  The
+    first call holds every row's first m ranks, rank by rank, while
+    m*rows*max(d, hidden..., K) <= _GROUP_ELEMS.  The clean logits are
+    computed once, or passed as logits[n,K].  After the first call the full
+    fold bounds every pair (_margin_bounds; no bound for two or more hidden
+    layers) and drops each later pair whose bound is below the row's best
+    margin, since it can neither win nor tie the fold.  The pairs left run
+    rank by rank, rows ascending within a rank, in calls of at most
+    max(n, _GROUP_ELEMS // max(d, hidden..., K)) pairs, whose pair counts
+    can move a margin in its last bits.  An array slots[K-1,n,d] (not with
+    live) receives each slot's etas, and then nothing is dropped.
+    A mask live (a bool array [n]) attacks only its rows and retires each
+    row on the first ascent step that gives one of its pairs a margin > 0,
+    before its backward pass: it returns that step's best candidate, and rows
+    never attacked keep eta 0, j* 0 and margin -inf.  Under live the bounds
+    run after the first call too (not with cfg.steps 0), on the rows it left
+    unbroken: a row whose bounds are all < 0 is certified and leaves with its
+    best candidate, its margin <= 0, and each later slot whose bound is below
+    the row's best margin is dropped.  The open slots run first and a row
+    leaves once none are left, so the best class, its eta and the verdict
+    are the full fold's."""
     if live is not None and slots is not None:  # live leaves unattacked rows' slots unset
         raise ValueError("beta_attack_batch takes live or slots, not both")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
     (n, d), k = X.shape, spec.class_count
     check_classes(k, y)
+    _check_live(live, n)
     wrong = wrong_classes(y, k)
     best = (np.zeros(X.shape), np.zeros(n, np.intp), np.full(n, -np.inf))
     logits = forward(spec, params, X)[0] if logits is None else logits
@@ -503,63 +500,54 @@ def beta_attack_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     draw = _slot_draws(seed, cfg, (k - 1, n, d))
     full, live = live is None, np.ones(n, bool) if live is None else live.copy()
     stop = np.full(n, k - 1)  # each row runs its ranks below stop
-
-    def drop(i, bounds, g):
-        # rows i's later ranks (m is the first group's) whose bound is < g
-        # can neither win nor tie the fold: they move past stop
-        later = order[i, m:]
-        shut = np.take_along_axis(bounds, later, axis=1) < g[:, None]
-        order[i, m:] = np.take_along_axis(later, np.argsort(shut, axis=1, kind="stable"),
-                                          axis=1)
-        stop[i] -= shut.sum(axis=1)
+    width = max(d, *spec.hidden, k)
 
     def fold(at, etas, targets, margins):
-        # [m, len(at)] pairs: each row's best layer, then against its best so
-        # far; the lower class on equal margins, and fmax passes over a NaN
-        layer = np.where(margins == np.fmax.reduce(margins), targets, k).argmin(axis=0)
-        cols = np.arange(len(at))
-        new_j, new_m, kept_m = targets[layer, cols], margins[layer, cols], best[2][at]
-        better = (new_m > kept_m) | ((new_m == kept_m) & (new_j < best[1][at]))
+        # pairs of distinct rows against each row's best so far: the lower
+        # class on equal margins, and a NaN never wins
+        kept_m = best[2][at]
+        better = (margins > kept_m) | ((margins == kept_m) & (targets < best[1][at]))
         for kept, value in zip(best, (etas, targets, margins)):
-            kept[at[better]] = value[layer[better], cols[better]]
-    first = 0
-    while first < k - 1 and live.any():
-        at = np.flatnonzero(live)
-        # at most the ranks a row of at has left (each has stop > first)
-        m = min(np.max(stop[at]) - first,
-                max(1, _GROUP_ELEMS // (len(at) * max(d, *spec.hidden, k))))
-        slot_of = order[at, first:first + m].T  # [m, rows]
-        targets = wrong[at, slot_of]
-        part = X if len(at) == n else X[at]
+            kept[at[better]] = value[better]
+    at = np.flatnonzero(live)
+    m = min(k - 1, max(1, _GROUP_ELEMS // (max(len(at), 1) * width)))  # the first call's ranks
+    ranks, pairs = np.arange(m).repeat(len(at)), np.tile(at, m)
+    cap, first = len(pairs), True
+    while len(pairs):
+        at, rank = pairs[:cap], ranks[:cap]
+        targets = wrong[at, slot_of := order[at, rank]]
         etas, margins = targeted_ascent_batch(
-            spec, params, np.broadcast_to(part, (m, *part.shape)),
-            y[at], targets, cfg, draw=lambda: draw(slot_of, at),
-            clean=clean[at, slot_of], retire=not full)
+            spec, params, X if np.array_equal(at, rows) else X[at], y[at], targets, cfg,
+            draw=lambda: draw(slot_of, at), clean=clean[at, slot_of],
+            retire=None if full else at)
         if slots is not None:
             slots[slot_of, at] = etas
-        fold(at, etas, targets, margins)
-        first += m
-        if full and slots is None and first < k - 1:  # beta_at: the rest as pair batches
-            drop(rows, _margin_bounds(spec, params, X, y, cfg), best[2])
-            pair_rows, pair_ranks = np.nonzero(np.arange(first, k - 1) < stop[:, None])
-            cap = max(n, _GROUP_ELEMS // max(d, *spec.hidden, k))
-            for c in range(0, len(pair_rows), cap):
-                at, rank = pair_rows[c:c + cap], pair_ranks[c:c + cap] + first
-                targets = wrong[at, slot_of := order[at, rank]]  # a slot's rows ascend
-                etas, margins = targeted_ascent_batch(
-                    spec, params, X[at], y[at], targets, cfg,
-                    draw=lambda: draw(slot_of[None], at)[0], clean=clean[at, slot_of])
-                for p in (rank == r for r in np.unique(rank)):  # a rank holds a row once
-                    fold(at[p], etas[None, p], targets[None, p], margins[None, p])
-            break
+        for r in range(rank[0], rank[-1] + 1):  # rank-major: a rank holds a row once
+            p = rank == r
+            fold(at[p], etas[p], targets[p], margins[p])
         if not full:
-            live[at[(margins > 0).any(axis=0)]] = False
-            if first == m and m < k - 1 and cfg.steps:  # after the first group
+            live[at[margins > 0]] = False
+        if first:  # bound once, then every open later pair, rank-major
+            if slots is None and m < k - 1 and (full or cfg.steps):
                 i = np.flatnonzero(live)
-                bounds = _margin_bounds(spec, params, X[i], y[i], cfg)
-                proved = (bounds < 0).all(axis=1)  # certified: every later slot drops
-                drop(i, bounds, np.where(proved, np.inf, best[2][i]))
-        live &= stop > first
+                bounds = _margin_bounds(spec, params, X if full else X[i], y[i], cfg)
+                # a later rank whose bound is < g, the row's best margin (+inf
+                # for a row live certifies), can neither win nor tie the fold:
+                # it moves past the row's stop
+                g = best[2][i] if full else np.where((bounds < 0).all(axis=1), np.inf,
+                                                     best[2][i])
+                later = order[i, m:]
+                shut = np.take_along_axis(bounds, later, axis=1) < g[:, None]
+                order[i, m:] = np.take_along_axis(
+                    later, np.argsort(shut, axis=1, kind="stable"), axis=1)
+                stop[i] -= shut.sum(axis=1)
+            ranks, pairs = np.nonzero(np.arange(m, k - 1)[:, None] < stop)
+            ranks += m
+            cap, first = max(n, _GROUP_ELEMS // width), False
+        else:
+            ranks, pairs = ranks[cap:], pairs[cap:]
+        still = live[pairs]  # a row broken in an earlier call runs no more pairs
+        ranks, pairs = ranks[still], pairs[still]
     return best
 
 
@@ -612,6 +600,7 @@ def pgd_surrogate_batch(spec: ModelSpec, params: dict, X: np.ndarray,
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.intp)
+    _check_live(live, len(X))
     clean_logits = forward(spec, params, X)[0] if logits is None else logits
     wrong = np.argmax(clean_logits, axis=1) != y
     rows = None if live is None or (live | wrong).all() else np.flatnonzero(live & ~wrong)

@@ -91,21 +91,26 @@ def test_gather_has_the_bits_of_the_whole_batch_draw(d):
 
 @pytest.mark.parametrize("n,d", [(30, 2), (50, 784)], ids=["kept", "gathered"])
 def test_slot_draws_give_each_pair_its_slots_whole_batch_row(n, d):
-    # group after group, in any order of slots and rows: pair (l, j) holds
-    # row rows[j] of its slot's whole-batch draw
+    # call after call, in any order of slots and rows: pair j holds row
+    # rows[j] of its slot's whole-batch draw, also where a call's rank-major
+    # pairs hold a slot's rows out of order
     k, seed = 6, (7, EVAL, 2, 1)
     cfg = AttackConfig(epsilon=0.1)
     whole = np.stack([stream(*_key(seed, cfg, s)).random((n, d)) for s in range(k - 1)])
     draw = _slot_draws(seed, cfg, (k - 1, n, d))
     rng = np.random.default_rng(n)
     order = np.argsort(rng.uniform(size=(n, k - 1)), axis=1)
+    unordered = 0
     for first, m, rows in ((0, 2, np.arange(n)), (2, 1, np.array([3, 4, n - 1])),
                            (3, 2, np.sort(rng.choice(n, n // 2, replace=False))),
                            (0, 1, np.array([], dtype=np.intp)), (0, 5, np.arange(n))):
-        slot_of = order[rows, first:first + m].T
-        u = draw(slot_of, rows)
-        assert u.shape == (m, len(rows), d)
-        assert u.tobytes() == whole[slot_of, rows].tobytes()
+        at = np.tile(rows, m)  # rank-major: rank first + l holds rows l*len(rows)...
+        slot = order[at, np.arange(first, first + m).repeat(len(rows))]
+        u = draw(slot, at)
+        assert u.shape == (len(at), d)
+        assert u.tobytes() == whole[slot, at].tobytes()
+        unordered += any((np.diff(at[slot == s]) < 0).any() for s in range(k - 1))
+    assert unordered >= 2
 
 
 def test_project_l2_radial():
@@ -362,10 +367,12 @@ def test_beta_batch_matches_per_sample():
 def test_beta_batch_is_fold_of_serial_slot_ascents():
     # slot s of row i targets the s-th smallest class != y[i] and draws its
     # start from the key (seed, EVAL, 0, 0, s); a later slot replaces the
-    # running best only when its margin is strictly larger.  Stacked slots
-    # must match the serial ascents bit for bit.
-    for hidden, k, n in (((5,), 4, 24),          # all 3 slots in one stack
-                         ((32, 32), 10, 200)):   # 9 slots in groups of 5 and 4
+    # running best only when its margin is strictly larger.  j* must match
+    # the serial ascents; the pair calls run on other row counts than the
+    # serial ones, so an MLP's margins and points x + eta may move in their
+    # last bits (eta is a difference of points, rounded to their scale).
+    for hidden, k, n in (((5,), 4, 24),          # all 3 slots in one 72-pair call
+                         ((32, 32), 10, 200)):   # 5 ranks in one call, then the rest
         rng = np.random.default_rng(9)
         spec = ModelSpec("mlp", 3, k, hidden)
         params = init_params(spec, 2)
@@ -384,9 +391,9 @@ def test_beta_batch_is_fold_of_serial_slot_ascents():
             better = m_s > best_m
             best_eta[better], best_j[better] = eta_s[better], targets[better]
             best_m[better] = m_s[better]
-        assert np.array_equal(etas, best_eta)
         assert np.array_equal(j_stars, best_j)
-        assert np.array_equal(margins, best_m)
+        assert np.allclose(X + etas, X + best_eta, rtol=1e-12, atol=0)
+        assert np.allclose(margins, best_m, rtol=1e-12, atol=0)
 
         # pgd leaves every row misclassified at the clean point exactly in place
         clean_wrong = np.argmax(forward_logits(spec, params, X).data, axis=1) != y
@@ -400,11 +407,13 @@ def test_beta_batch_is_fold_of_serial_slot_ascents():
 @pytest.mark.parametrize("hidden", [(), (48,)], ids=["linear", "mlp"])
 @pytest.mark.parametrize("n", [20, 1000], ids=["stacked", "one-slot-groups"])
 def test_beta_slots_are_the_serial_slot_ascents(n, hidden, k):
-    # 20 rows stack every slot in one group; at 1000 rows each slot is a
-    # group of its own.  Slot s of the buffer holds exactly the one-slot
-    # ascent on the s-th wrong class, and the result is their strict-> fold.
-    # With no steps, two classes that share a weight column (init biases are
-    # 0) tie exactly, and the lower one must keep the row.
+    # 20 rows run every slot in one pair call; at 1000 rows each slot is a
+    # call of its own.  Slot s of the buffer holds the one-slot ascent on
+    # the s-th wrong class, and the result is their strict-> fold: exactly
+    # for a linear model, and for an MLP-48 up to last bits of its margins
+    # and points x + eta where the row count differs (j* exactly).  With no
+    # steps, two classes that share a weight column (init biases are 0) tie
+    # exactly, and the lower one must keep the row.
     rng = np.random.default_rng(k)
     spec = ModelSpec("mlp" if hidden else "linear", 40, k, hidden)
     params = init_params(spec, 3)
@@ -412,29 +421,25 @@ def test_beta_slots_are_the_serial_slot_ascents(n, hidden, k):
     tied = {**params, last: params[last][:, [*range(k - 1), k - 2]]}
     X, y = rng.uniform(size=(n, 40)), rng.integers(k, size=n)
     cfg = AttackConfig(epsilon=0.05, norm="l2", steps=3, seed=4)
+
+    def equal(got, want, x=0.0):
+        return (np.allclose(x + got, x + want, rtol=1e-12, atol=0) if hidden
+                else np.array_equal(got, want))
     for params, cfg in ((params, cfg), (tied, replace(cfg, steps=0))):
         buf = np.full((k - 1, n, 40), np.nan)
         etas, j_stars, margins = beta_attack_batch(spec, params, X, y, cfg, slots=buf)
-
-        best = (np.zeros_like(X), np.zeros(n, dtype=np.intp), np.full(n, -np.inf))
-        for s in range(k - 1):
-            targets = wrong_classes(y, k)[:, s]
-            eta_s, m_s = targeted_ascent_batch(
-                spec, params, X, y, targets, cfg,
-                draw=lambda: stream(*_key(None, cfg, s)).random(X.shape))
-            assert np.array_equal(buf[s], eta_s)
-            better = m_s > best[2]
-            for kept, new in zip(best, (eta_s, targets, m_s)):
-                kept[better] = new[better]
-        assert np.array_equal(etas, best[0])
+        best, _ = _serial_fold(spec, params, X, y, cfg, slots=(serial := np.empty_like(buf)))
+        assert equal(buf, serial, X)
+        assert equal(etas, best[0], X)
         assert np.array_equal(j_stars, best[1])
-        assert np.array_equal(margins, best[2])
+        assert equal(margins, best[2])
 
 
-def _serial_fold(spec, params, X, y, cfg):
+def _serial_fold(spec, params, X, y, cfg, slots=None):
     """BETA's full fold one slot at a time, in class order: ((etas, j*,
     margins), a later slot taking a row only with a strictly larger margin;
-    every slot's margins [n, K-1])."""
+    every slot's margins [n, K-1]); an array slots[K-1, n, d] receives each
+    slot's etas."""
     k = spec.class_count
     best = (np.zeros_like(X), np.zeros(len(X), dtype=np.intp), np.full(len(X), -np.inf))
     per_slot = np.empty((len(X), k - 1))
@@ -443,6 +448,8 @@ def _serial_fold(spec, params, X, y, cfg):
         eta_s, per_slot[:, s] = targeted_ascent_batch(
             spec, params, X, y, targets, cfg,
             draw=lambda: stream(*_key(None, cfg, s)).random(X.shape))
+        if slots is not None:
+            slots[s] = eta_s
         better = per_slot[:, s] > best[2]
         for kept, new in zip(best, (eta_s, targets, per_slot[:, s])):
             kept[better] = new[better]
@@ -451,19 +458,17 @@ def _serial_fold(spec, params, X, y, cfg):
 
 def _fold_with_pairs(spec, params, X, y, cfg, slots=None, sizes=None):
     """(beta_attack_batch's fold, ran): ran[i] lists the classes that the
-    ascents of row i targeted, from [m, rows, d] stacks and [pairs, d]
-    batches alike; sizes, a list, receives each call's pair count."""
+    ascents of row i targeted, from its [pairs, d] calls; sizes, a list,
+    receives each call's pair count."""
     where = {x.tobytes(): i for i, x in enumerate(X)}
     ran = [[] for _ in X]
 
-    def recording(spec, params, stack, y, targets, cfg, **kwargs):
-        rows = stack[0] if stack.ndim == 3 else stack
-        for i, t in zip((where[x.tobytes()] for x in rows),
-                        targets.reshape(-1, len(rows)).T):
-            ran[i].extend(t.tolist())
+    def recording(spec, params, pairs, y, targets, cfg, **kwargs):
+        for x, t in zip(pairs, targets.tolist()):
+            ran[where[x.tobytes()]].append(t)
         if sizes is not None:
-            sizes.append(targets.size)
-        return targeted_ascent_batch(spec, params, stack, y, targets, cfg, **kwargs)
+            sizes.append(len(targets))
+        return targeted_ascent_batch(spec, params, pairs, y, targets, cfg, **kwargs)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(attacks, "targeted_ascent_batch", recording)
         fold = beta_attack_batch(spec, params, X, y, cfg, slots=slots)
@@ -580,50 +585,73 @@ def test_beta_rejects_live_with_slots():
     assert np.isnan(slots).all()
 
 
-def test_beta_fold_drops_pairs_bit_for_bit_at_784d():
-    # the training benchmark's shape: a 64-row batch at 784-d, MLP-256,
-    # K = 10, one rank per group; the fold that drops pairs has the serial
-    # fold's bits
+@pytest.mark.parametrize("attack", [beta_attack_batch, pgd_surrogate_batch],
+                         ids=["beta", "pgd"])
+def test_batch_attacks_reject_a_malformed_live_mask(attack):
+    # live is a bool array [n]: a mask of one row would broadcast over all
+    # 40 (attacking every row or none), a 0/1 int mask would index rows as
+    # a fancy index, and none of them may run silently
+    data = generate_dataset(DatasetSpec("gaussian_blobs", 40, 3, 0.15, 3))
+    spec = ModelSpec("mlp", 2, 3, (8,))
+    params = init_params(spec, 0)
+    cfg = AttackConfig(epsilon=0.1, steps=3)
+    for live in (np.array([False]), np.array([True]), np.ones(39, bool),
+                 np.arange(40) % 2, np.ones(40), np.ones((1, 40), bool)):
+        with pytest.raises(ValueError, match="live must be a bool array of shape \\(40,\\)"):
+            attack(spec, params, data.X, data.y, cfg, live=live)
+    attack(spec, params, data.X, data.y, cfg, live=np.ones(40, bool))
+
+
+@pytest.mark.parametrize("d,hidden", [(784, (256,)), (2, (16,))], ids=["784d", "desk"])
+def test_beta_fold_drops_pairs_bit_for_bit(d, hidden):
+    # the training benchmarks' shapes, 64-row batches at K = 10.  At 784-d,
+    # MLP-256, the first call holds one rank and the fold drops pairs; on
+    # the 2-D desk, MLP-16, every slot runs in one 576-pair call.  The fold
+    # has the serial fold's bits, and so has each slot of sbeta_at's slots
     rng = np.random.default_rng(21)
-    spec = ModelSpec("mlp", 784, 10, (256,))
+    spec = ModelSpec("mlp", d, 10, hidden)
     params = init_params(spec, 5)
-    X, y = rng.uniform(size=(64, 784)), rng.integers(10, size=64)
+    X, y = rng.uniform(size=(64, d)), rng.integers(10, size=64)
     cfg = AttackConfig(epsilon=8 / 255, steps=3, seed=2)
-    fold, ran = _fold_with_pairs(spec, params, X, y, cfg)
-    assert sum(map(len, ran)) < 64 * 9
-    for got, want in zip(fold, _serial_fold(spec, params, X, y, cfg)[0]):
+    sizes = []
+    fold, ran = _fold_with_pairs(spec, params, X, y, cfg, sizes=sizes)
+    assert sum(map(len, ran)) < 64 * 9 if d == 784 else sizes == [64 * 9]
+    serial = np.empty((9, 64, d))
+    for got, want in zip(fold, _serial_fold(spec, params, X, y, cfg, serial)[0]):
         assert np.array_equal(got, want)
+    slots = np.empty_like(serial)
+    beta_attack_batch(spec, params, X, y, cfg, slots=slots)
+    assert np.array_equal(slots, serial)
 
 
-def test_targeted_batch_on_a_stack_is_one_call_per_layer():
-    # layers of one batch with their own targets and draws, and the clean
-    # margins handed in, give the bits of one call per layer
+def test_targeted_batch_given_its_clean_margins_has_the_bits_of_computing_them():
+    # clean, the margins at X, saves a forward pass and changes no bit,
+    # with steps (the clean point is the first candidate) and without
     rng = np.random.default_rng(10)
     spec = ModelSpec("mlp", 3, 4, (5,))
     params = init_params(spec, 1)
     X, y = rng.uniform(size=(6, 3)), np.array([0, 1, 2, 3, 0, 1])
-    t1, t2 = (y + 1) % 4, (y + 2) % 4
-    cfg = AttackConfig(epsilon=0.1, norm="l2", steps=4)
+    targets = (y + 1 + np.arange(6) % 3) % 4
     logits = forward_logits(spec, params, X).data
     rows = np.arange(6)
-    etas, margins = targeted_ascent_batch(
-        spec, params, np.broadcast_to(X, (2, 6, 3)), y, np.stack([t1, t2]), cfg,
-        draw=lambda: np.stack([stream(3, EVAL, 0, 0, 0).random(X.shape),
-                               stream(8, EVAL, 0, 0, 0).random(X.shape)]),
-        clean=np.stack([logits[rows, t] - logits[rows, y] for t in (t1, t2)]))
-    e1, m1 = targeted_ascent_batch(spec, params, X, y, t1, cfg, seed=3)
-    e2, m2 = targeted_ascent_batch(spec, params, X, y, t2, cfg, seed=8)
-    assert np.array_equal(etas, np.stack([e1, e2]))
-    assert np.array_equal(margins, np.stack([m1, m2]))
+    for steps in (4, 0):
+        cfg = AttackConfig(epsilon=0.1, norm="l2", steps=steps)
+        given = targeted_ascent_batch(
+            spec, params, X, y, targets, cfg, seed=3,
+            clean=logits[rows, targets] - logits[rows, y])
+        computed = targeted_ascent_batch(spec, params, X, y, targets, cfg, seed=3)
+        for got, want in zip(given, computed):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("optimizer,step_size", [("rmsprop", 0.01), ("sgd", 0.02)])
 def test_a_retired_row_keeps_its_candidates_up_to_its_first_break(optimizer, step_size):
-    # with retire, row i leaves every layer after the first step s that gives
-    # one of its layers a margin > 0: all its layers then hold what the
-    # ascent with s steps holds, which evaluates the same candidates.  Class
-    # 4 copies class 3's weights, so a row labelled 3 has margin exactly 0
-    # towards 4 at every point, which must not retire it.
+    # three pairs per row in one flat call, rank-major, with retire the
+    # pairs' row ids: all of row i's pairs leave after the first step s that
+    # gives one of them a margin > 0, and then hold what the ascent with s
+    # steps holds, which evaluates the same candidates.  Class 4 copies
+    # class 3's weights, so a row labelled 3 has margin exactly 0 towards 4
+    # at every point, which must not retire it.
     k, n = 5, 200
     spec = ModelSpec("mlp", 3, k, (8,))
     rng = np.random.default_rng(7)
@@ -632,12 +660,16 @@ def test_a_retired_row_keeps_its_candidates_up_to_its_first_break(optimizer, ste
     params["w1"][:, 4], params["b1"][4] = params["w1"][:, 3], params["b1"][3]
     X = rng.uniform(size=(n, 3))
     y = np.argmax(forward_logits(spec, params, X).data, axis=1)  # 3, never 4, on ties
-    targets = wrong_classes(y, k)[:, 1:4].T  # layer 2 of a row labelled 3 targets 4
+    targets = wrong_classes(y, k)[:, 1:4].T.ravel()  # pair 2 of a row labelled 3 targets 4
     cfg = AttackConfig(epsilon=0.2, steps=8, optimizer=optimizer, step_size=step_size,
                        seed=2)
-    stack = np.broadcast_to(X, (3, n, 3))
-    etas, margins = targeted_ascent_batch(spec, params, stack, y, targets, cfg, retire=True)
-    runs = [targeted_ascent_batch(spec, params, stack, y, targets, replace(cfg, steps=s))
+    pairs = (np.tile(X, (3, 1)), np.tile(y, 3), targets)
+    ids = np.tile(np.arange(n), 3)
+
+    def by_rank(etas, margins):  # [3, n, d] and [3, n]
+        return etas.reshape(3, n, -1), margins.reshape(3, n)
+    etas, margins = by_rank(*targeted_ascent_batch(spec, params, *pairs, cfg, retire=ids))
+    runs = [by_rank(*targeted_ascent_batch(spec, params, *pairs, replace(cfg, steps=s)))
             for s in range(1, cfg.steps + 1)]
     broke = np.array([(m > 0).any(axis=0) for _, m in runs])  # [steps, rows]
     first = np.where(broke.any(axis=0), broke.argmax(axis=0), cfg.steps - 1)

@@ -329,17 +329,66 @@ def test_beta_early_exit_accuracy_equals_the_full_fold_at_784d():
     assert retired[0] > 0
 
 
+def _check_later_calls(calls, seq, cap):
+    """Checks that a live BETA's later calls, (rows, targets, margins) each,
+    hold exactly each open row i's later classes seq[i], rank by rank with
+    rows ascending, in calls of cap pairs, less the pairs of the rows an
+    earlier call broke; returns the count of pairs so skipped."""
+    todo = [(i, seq[i][r]) for r in range(max(map(len, seq.values()), default=0))
+            for i in sorted(seq) if r < len(seq[i])]
+    skipped = 0
+    for rows, targets, margins in calls:
+        assert list(zip(rows.tolist(), targets.tolist())) == todo[:cap]
+        broken, rest = set(rows[margins > 0].tolist()), todo[len(rows):]
+        todo = [(i, t) for i, t in rest if i not in broken]
+        skipped += len(rest) - len(todo)
+    assert not todo
+    return skipped
+
+
+def test_beta_live_later_calls_skip_the_rows_an_earlier_call_broke(monkeypatch):
+    # two hidden layers get no bounds, so nothing drops or certifies: after
+    # a first call of one rank of all 600 rows, each unbroken row's 8 later
+    # ranks run rank-major in calls of 600 pairs, and no pair of a row that
+    # an earlier call broke runs
+    spec = ModelSpec("mlp", 10, 10, (64, 64))
+    params = init_params(spec, 1)
+    X = np.random.default_rng(0).uniform(size=(600, 10))
+    y = predict(spec, params, X)
+    where = {x.tobytes(): i for i, x in enumerate(X)}
+    calls, targeted = [], attacks.targeted_ascent_batch
+
+    def recording(spec, params, pairs, y, targets, cfg, **kwargs):
+        etas, margins = targeted(spec, params, pairs, y, targets, cfg, **kwargs)
+        calls.append((np.array([where[x.tobytes()] for x in pairs]), targets, margins))
+        return etas, margins
+    monkeypatch.setattr(attacks, "targeted_ascent_batch", recording)
+    beta_attack_batch(spec, params, X, y, AttackConfig(epsilon=0.1, steps=5, seed=1),
+                      live=np.ones(600, bool))
+    rows, targets, margins = calls[0]
+    assert np.array_equal(rows, np.arange(600))
+    logits = forward_logits(spec, params, X).data
+    wrong = wrong_classes(y, 10)
+    clean = np.take_along_axis(logits, wrong, 1) - logits[rows, y, None]
+    order = wrong[rows[:, None], np.argsort(-clean, axis=1, kind="stable")]
+    assert np.array_equal(targets, order[:, 0])
+    seq = {i: order[i, 1:].tolist() for i in rows[margins <= 0]}
+    assert len(calls) > 2 and _check_later_calls(calls[1:], seq, 600) > 0
+
+
 def test_beta_early_exit_attacks_only_rows_still_robust(monkeypatch):
     # a row misclassified at x or proved before the attack (_proved) never
     # reaches targeted_ascent_batch; its first target is its most confusable
     # class: the largest clean logit but its own, the lower class on ties
     # (class 9 takes the weights and bias of the class most often most
-    # confusable, c, so c comes first).  The bounds run once more, after the
-    # first call, on exactly the rows that call left unbroken; the rows they
-    # certify are absent from every later group.  A later rank of a row runs
-    # its open classes first (bound >= g, its best margin after the first
-    # call), in clean-margin order, and the row leaves once a group breaks it
-    # or no open class is left.  No grid point breaks a certified row.
+    # confusable, c, so c comes first).  The first call holds each such
+    # row's first m0 ranks, rank by rank.  The bounds run once more, after
+    # it, on exactly the rows it left unbroken; the rows they certify are
+    # absent from every later call.  A row's later ranks run its open
+    # classes (bound >= g, its best margin after the first call) in
+    # clean-margin order; the later calls hold exactly those pairs, rank by
+    # rank with rows ascending, less the pairs of rows an earlier call broke,
+    # and no dropped pair.  No grid point breaks a certified row.
     spec, params, data = erm_model(10, (64,))
 
     def wrong_logits(params):  # (logits with each row's own class at -inf, correct)
@@ -360,8 +409,8 @@ def test_beta_early_exit_attacks_only_rows_still_robust(monkeypatch):
         return np.array([where[x.tobytes()] for x in X], dtype=np.intp)
 
     def recording(spec, params, X, y, targets, cfg, **kwargs):
-        assert kwargs["retire"] and all(np.array_equal(layer, X[0]) for layer in X)
-        rows = rows_of(X[0])
+        rows = rows_of(X)
+        assert np.array_equal(kwargs["retire"], rows)
         assert np.array_equal(y, data.y[rows])
         etas, margins = targeted(spec, params, X, y, targets, cfg, **kwargs)
         events.append(("call", rows, targets, margins))
@@ -385,8 +434,10 @@ def test_beta_early_exit_attacks_only_rows_still_robust(monkeypatch):
     kinds = [e[0] for e in events]
     assert kinds.count("bounds") == 1 and kinds.index("bounds") == 1
     calls = [e[1:] for e in events if e[0] == "call"]
-    rows, targets, margins = calls[0]
-    assert np.array_equal(rows, np.flatnonzero(correct & ~proved_first))
+    rows = np.flatnonzero(correct & ~proved_first)
+    m0 = len(calls[0][0]) // len(rows)
+    assert np.array_equal(calls[0][0], np.tile(rows, m0))
+    targets, margins = (a.reshape(m0, len(rows)) for a in calls[0][1:])
     assert proved_first.any() and not correct.all()
     assert np.array_equal(targets[0], np.argmax(logits[rows], axis=1))
     assert (targets[0] == c).sum() >= 5
@@ -395,27 +446,19 @@ def test_beta_early_exit_attacks_only_rows_still_robust(monkeypatch):
     proved = (bounds < 0).all(axis=1)
     assert 0 < proved.sum() < len(checked)
 
-    # each row's later ranks: its open classes first, in clean-margin order
+    # each open row's later ranks: its open classes, in clean-margin order
     wrong = wrong_classes(data.y, 10)
     every, raw = np.arange(len(data)), forward_logits(spec, params, data.X).data
     clean = raw[every[:, None], wrong] - raw[every, data.y][:, None]
     order = np.argsort(-clean, axis=1, kind="stable")
-    m0, g = len(targets), dict(zip(rows, margins.max(axis=0)))
-    seq, stop = {}, {}
+    g = dict(zip(rows, margins.max(axis=0)))
+    seq = {}  # each open row's later classes, up to its stop
     for i, u in zip(checked[~proved], bounds[~proved]):
         slots = order[i, m0:]
-        shut = u[slots] < g[i]
-        seq[i] = wrong[i, np.concatenate([slots[~shut], slots[shut]])]
-        stop[i] = m0 + (~shut).sum()
-    assert sum(stop.values()) < len(stop) * 9  # some classes were dropped
-    alive, first = checked, m0
-    for rows, targets, margins in calls[1:]:
-        assert np.array_equal(rows, [i for i in alive if stop.get(i, 0) > first])
-        for col, i in enumerate(rows):
-            assert np.array_equal(targets[:, col],
-                                  seq[i][first - m0:first - m0 + len(targets)])
-        alive, first = rows[~(margins > 0).any(axis=0)], first + len(targets)
-    assert len(calls) > 1 and not [i for i in alive if stop.get(i, 0) > first]
+        seq[i] = wrong[i, slots[u[slots] >= g[i]]].tolist()
+    assert sum(map(len, seq.values())) < len(seq) * (9 - m0)  # some classes were dropped
+    assert len(calls) > 1
+    _check_later_calls(calls[1:], seq, max(len(data), 2 ** 15 // 64))
     for i in checked[proved]:
         assert not grid_oracle_attack(spec, params, data.X[i], data.y[i], eps, 20).success
 
@@ -431,7 +474,7 @@ def test_a_leaving_row_takes_no_backward_pass(monkeypatch):
     targeted, margin_bounds = attacks.targeted_ascent_batch, attacks._margin_bounds
 
     def recording(*args, **kwargs):
-        assert kwargs["retire"]
+        assert kwargs["retire"] is not None
         calls.append([])
         return targeted(*args, **kwargs)
 
